@@ -25,7 +25,7 @@ pub mod optim;
 pub mod param;
 pub mod schedule;
 
-pub use activation::Gelu;
+pub use activation::{tanh, Gelu};
 pub use attention::MultiHeadAttention;
 pub use block::{Mlp, TransformerBlock};
 pub use embed::PatchEmbed;

@@ -9,6 +9,7 @@ use geofm_telemetry::Telemetry;
 use geofm_vit::{VitConfig, VitVariant};
 
 fn main() {
+    let trace_out = trace_out_arg();
     println!("FIGURE 1 — MAE ViT-3B weak scaling (NO_SHARD, local batch 32)");
     let cfg = VitConfig::table1(VitVariant::B3);
     let wl = MaeWorkload::build(&cfg, 32, 0.75);
@@ -58,7 +59,7 @@ fn main() {
         &rows,
     );
     append_metrics_csv(&csv_path, &tel.metrics.snapshot());
-    if let Some(path) = trace_out_arg() {
+    if let Some(path) = trace_out {
         let written = tel.trace.write_json(&path).expect("cannot write trace JSON");
         println!("  -> wrote Chrome trace ({} events) to {}", tel.trace.len(), written.display());
     }

@@ -20,6 +20,7 @@ fn strategies() -> Vec<ShardingStrategy> {
 }
 
 fn main() {
+    let trace_out = trace_out_arg();
     println!("FIGURE 4 — large models that do not fit on a single GPU (local batch 32)");
     let tel = Telemetry::new();
     let sims = tel.metrics.counter("fig4.simulations");
@@ -117,7 +118,7 @@ fn main() {
     }
     write_csv("fig4_trace.csv", "strategy,ips,avg_power_w,avg_util_pct,mem_gib", &trace_rows);
     append_metrics_csv(&csv_path, &tel.metrics.snapshot());
-    if let Some(path) = trace_out_arg() {
+    if let Some(path) = trace_out {
         let written = tel.trace.write_json(&path).expect("cannot write trace JSON");
         println!("  -> wrote Chrome trace ({} events) to {}", tel.trace.len(), written.display());
     }

@@ -103,19 +103,35 @@ pub fn ascii_chart_labeled(
 }
 
 /// Parse the shared `--trace-out <path>` CLI flag (also accepts
-/// `--trace-out=<path>`). When present, binaries export their telemetry
-/// span recorder as Chrome-trace JSON to the given path.
-pub fn trace_out_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
+/// `--trace-out=<path>`) from the arguments after the program name. When
+/// present, binaries export their telemetry span recorder as Chrome-trace
+/// JSON to the given path. A flag with no value — last argument, empty after
+/// `=`, or followed by another flag — is an error.
+pub fn parse_trace_out(args: impl IntoIterator<Item = String>) -> Result<Option<PathBuf>, String> {
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(v));
-        }
+        let value = if a == "--trace-out" {
+            args.next().filter(|v| !v.starts_with('-'))
+        } else if let Some(v) = a.strip_prefix("--trace-out=") {
+            Some(v.to_string())
+        } else {
+            continue;
+        };
+        return match value {
+            Some(v) if !v.is_empty() => Ok(Some(PathBuf::from(v))),
+            _ => Err("--trace-out needs a path: --trace-out <path> or --trace-out=<path>".into()),
+        };
     }
-    None
+    Ok(None)
+}
+
+/// [`parse_trace_out`] over the process arguments. On a malformed flag it
+/// prints the error and exits with status 2, so call it before any work.
+pub fn trace_out_arg() -> Option<PathBuf> {
+    parse_trace_out(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Append a metrics summary to an existing CSV artifact: a blank separator
@@ -150,6 +166,28 @@ pub fn node_ladder(max: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn trace_out(args: &[&str]) -> Result<Option<PathBuf>, String> {
+        parse_trace_out(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn trace_out_parses_both_forms_and_absence() {
+        assert_eq!(trace_out(&[]), Ok(None));
+        assert_eq!(trace_out(&["--other"]), Ok(None));
+        assert_eq!(trace_out(&["--trace-out", "t.json"]), Ok(Some(PathBuf::from("t.json"))));
+        assert_eq!(
+            trace_out(&["-v", "--trace-out=out/t.json"]),
+            Ok(Some(PathBuf::from("out/t.json")))
+        );
+    }
+
+    #[test]
+    fn trace_out_without_a_value_is_an_error() {
+        assert!(trace_out(&["--trace-out"]).is_err());
+        assert!(trace_out(&["--trace-out="]).is_err());
+        assert!(trace_out(&["--trace-out", "--other-flag"]).is_err());
+    }
 
     #[test]
     fn node_ladder_caps() {

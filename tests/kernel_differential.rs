@@ -12,8 +12,13 @@
 //! degenerate dims, denormals, zero gradients and NaN/∞ inputs. The
 //! dot-shaped `matmul_a_bt` uses eight accumulation chains and is held to
 //! a tight relative tolerance instead.
+//!
+//! The crate's own `tanh` (`geofm_nn::tanh`, under GELU) is held to an ulp
+//! bound against the host's `f32::tanh`, to exact IEEE edge behaviour and
+//! odd symmetry, and to a table of pinned output bits, so that neither an
+//! edit nor a toolchain change can move GELU numerics unnoticed.
 
-use geofm_nn::{AdamW, Optimizer};
+use geofm_nn::{tanh, AdamW, Optimizer};
 use geofm_tensor::{bmm, bmm_a_bt, bmm_at_b, matmul, matmul_a_bt, matmul_at_b, Tensor, TensorRng};
 
 const TRIALS: u64 = 64;
@@ -365,4 +370,145 @@ fn fused_adamw_bit_identical_on_edge_gradients() {
         },
         "edge gradients",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Owned tanh vs libm, IEEE edges, and pinned bits.
+
+/// Distance in units in the last place between two finite floats, counted
+/// across zero (so `-0.0` and `0.0` are 0 apart).
+fn ulp_distance(a: f32, b: f32) -> u32 {
+    let ordered = |v: f32| {
+        let i = v.to_bits() as i32;
+        if i < 0 {
+            i64::from(i32::MIN) - i64::from(i)
+        } else {
+            i64::from(i)
+        }
+    };
+    u32::try_from((ordered(a) - ordered(b)).unsigned_abs()).expect("ulp distance fits u32")
+}
+
+/// Worst-case ulp error against glibc's `tanhf` over every f32 in [−10, 10]
+/// (measured exhaustively; the seeded sweeps below sample it).
+const TANH_MAX_ULP: u32 = 8;
+
+fn assert_tanh_near_libm(x: f32, what: &str) {
+    let (own, libm) = (tanh(x), x.tanh());
+    let ulp = ulp_distance(own, libm);
+    assert!(ulp <= TANH_MAX_ULP, "{what}: tanh({x:e}) = {own:e}, libm {libm:e}: {ulp} ulp apart");
+}
+
+#[test]
+fn tanh_within_ulp_bound_of_libm_over_seeded_sweep() {
+    let mut rng = TensorRng::seed_from(900);
+    for _ in 0..(1 << 20) {
+        assert_tanh_near_libm(rng.uniform_in(-10.0, 10.0), "sweep");
+    }
+    // small magnitudes, where a uniform sweep rarely lands
+    for _ in 0..(1 << 14) {
+        assert_tanh_near_libm(rng.uniform_in(-1e-2, 1e-2), "small sweep");
+    }
+}
+
+#[test]
+fn tanh_within_ulp_bound_at_clamp_and_passthrough_edges() {
+    // every float within 4096 ulp of the ±7.905311 clamp and the 4e-4
+    // passthrough threshold, on both signs
+    for edge in [7.905_311f32, 4e-4] {
+        for sign in [1.0f32, -1.0] {
+            let centre = edge.to_bits();
+            for b in centre - 4096..=centre + 4096 {
+                assert_tanh_near_libm(sign * f32::from_bits(b), "edge");
+            }
+        }
+    }
+}
+
+#[test]
+fn tanh_ieee_edge_values() {
+    assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+    assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+    for sub in [f32::from_bits(1), 1e-40, f32::MIN_POSITIVE / 2.0, f32::MIN_POSITIVE] {
+        assert_eq!(tanh(sub).to_bits(), sub.to_bits(), "{sub:e} must pass through");
+        assert_eq!(tanh(-sub).to_bits(), (-sub).to_bits(), "-{sub:e} must pass through");
+    }
+    assert_eq!(tanh(f32::INFINITY), 1.0);
+    assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+    assert_eq!(tanh(f32::MAX), 1.0);
+    assert_eq!(tanh(f32::MIN), -1.0);
+    assert!(tanh(f32::NAN).is_nan());
+    assert!(tanh(-f32::NAN).is_nan());
+}
+
+#[test]
+fn tanh_is_exactly_odd_bounded_and_monotone_up_to_rounding() {
+    let mut rng = TensorRng::seed_from(901);
+    let mut xs: Vec<f32> = (0..(1 << 18)).map(|_| rng.uniform_in(-10.0, 10.0)).collect();
+    xs.extend([-7.905_311f32, 7.905_311, -4e-4, 4e-4, 0.0]);
+    xs.sort_by(f32::total_cmp);
+    let mut running_max = f32::NEG_INFINITY;
+    for &x in &xs {
+        let t = tanh(x);
+        assert_eq!(tanh(-x).to_bits(), t.to_bits() ^ 0x8000_0000, "odd symmetry at {x:e}");
+        assert!(t.abs() <= 1.0, "|tanh({x:e})| = {} > 1", t.abs());
+        // A rational evaluated in f32 is non-decreasing only up to its own
+        // rounding: over every f32 in [0, 10] no output falls more than
+        // 11 ulp below the output at any smaller input.
+        if t < running_max {
+            let drop = ulp_distance(t, running_max);
+            assert!(drop <= 11, "tanh falls {drop} ulp below an earlier value at {x:e}");
+        }
+        running_max = running_max.max(t);
+    }
+}
+
+#[test]
+fn tanh_output_bits_are_pinned() {
+    // (input bits, output bits). A change here moves every GELU activation
+    // and therefore every loss curve: update the table only on purpose.
+    const PINS: [(u32, u32); 32] = [
+        (0x0000_0000, 0x0000_0000), // 0
+        (0x8000_0000, 0x8000_0000), // -0
+        (0x0001_16c2, 0x0001_16c2), // 1e-40 (subnormal)
+        (0x8001_16c2, 0x8001_16c2), // -1e-40
+        (0x38d1_b717, 0x38d1_b717), // 1e-4
+        (0x39d1_b5c0, 0x39d1_b5c0), // 3.9999e-4, last passthrough decade
+        (0x39d1_b717, 0x39d1_b714), // 4e-4, first rational input
+        (0xb9d1_b717, 0xb9d1_b714), // -4e-4
+        (0x3a83_126f, 0x3a83_126b), // 1e-3
+        (0x3c23_d70a, 0x3c23_d5a3), // 0.01
+        (0xbd4c_cccd, 0xbd4c_a125), // -0.05
+        (0x3dcc_cccd, 0x3dcc_1ebb), // 0.1
+        (0x3e80_0000, 0x3e7a_cbf5), // 0.25
+        (0xbf00_0000, 0xbeec_9a9f), // -0.5
+        (0x3f40_0000, 0x3f22_9920), // 0.75
+        (0x3f80_0000, 0x3f42_f7d6), // 1
+        (0xbf80_0000, 0xbf42_f7d6), // -1
+        (0x3fa0_0000, 0x3f59_291f), // 1.25
+        (0x3fc0_0000, 0x3f67_b7cd), // 1.5
+        (0xc000_0000, 0xbf76_ca84), // -2
+        (0x4020_0000, 0x3f7c_92c2), // 2.5
+        (0x4040_0000, 0x3f7e_bbe8), // 3
+        (0xc060_0000, 0xbf7f_8896), // -3.5
+        (0x4080_0000, 0x3f7f_d40c), // 4
+        (0x40a0_0000, 0x3f7f_fa0e), // 5
+        (0x40bc_d14d, 0x3f7f_ff0c), // 5.9005494, the worst case against libm
+        (0xc0d0_0000, 0xbf7f_ffb4), // -6.5
+        (0x40f0_0000, 0x3f7f_fff6), // 7.5
+        (0x40fc_f84f, 0x3f80_0000), // 7.905311, the clamp
+        (0xc100_0000, 0xbf80_0000), // -8
+        (0x4120_0000, 0x3f80_0000), // 10
+        (0xff80_0000, 0xbf80_0000), // -inf
+    ];
+    for (input, output) in PINS {
+        let x = f32::from_bits(input);
+        assert_eq!(
+            tanh(x).to_bits(),
+            output,
+            "tanh({x:e}) = {:e}, pinned {:e}",
+            tanh(x),
+            f32::from_bits(output)
+        );
+    }
 }
