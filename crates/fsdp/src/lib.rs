@@ -43,8 +43,8 @@ pub use flat::FlatLayout;
 pub use health::HealthMonitor;
 pub use rank::{FsdpRank, StepError, StepReport};
 pub use runtime::{
-    CheckpointMw, Control, Descriptor, DrainMw, DrainPolicy, GuardMw, HealthMw, InjectMw,
-    ProbeCounters, ProbeMw, RankMiddleware, RuntimeStack, Stage, StackError, StepCx,
+    CheckpointMw, CheckpointSlots, Control, Descriptor, DrainMw, DrainPolicy, GuardMw, HealthMw,
+    InjectMw, ProbeCounters, ProbeMw, RankMiddleware, RuntimeStack, Stage, StackError, StepCx,
 };
 pub use reshard::{global_to_shard, reshard, shards_to_global};
 pub use sentinel::{Sentinel, SentinelConfig, SentinelTrip};

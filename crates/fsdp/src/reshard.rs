@@ -48,14 +48,11 @@ pub fn shards_to_global(layout: &FlatLayout, shards: &[Vec<f32>]) -> Vec<f32> {
     for (u, unit) in layout.unit_ranges.iter().enumerate() {
         let s = layout.shard_len(u);
         for (r, shard) in shards.iter().enumerate() {
-            let seg = &shard[shard_off..shard_off + s];
-            let start = r * s; // offset within the unit's padded buffer
-            for (i, &v) in seg.iter().enumerate() {
-                let idx = start + i;
-                if idx < unit.len() {
-                    global[unit.start + idx] = v;
-                }
-            }
+            // offset within the unit's padded buffer; lanes past the
+            // unit's real end are padding and are dropped
+            let start = (r * s).min(unit.len());
+            let n = s.min(unit.len() - start);
+            global[unit.start + start..][..n].copy_from_slice(&shard[shard_off..shard_off + n]);
         }
         shard_off += s;
     }

@@ -53,22 +53,15 @@ use crate::health::HealthMonitor;
 use crate::rank::{FsdpRank, StepError, StepReport};
 use crate::reshard::shards_to_global;
 use crate::sentinel::Sentinel;
-use crate::trainer::{GuardConfig, ResilienceConfig};
+use crate::trainer::{lock, GuardConfig, ResilienceConfig};
 use geofm_collectives::{CorruptPayload, RankGroups};
 use geofm_nn::{AdamWState, Module};
-use geofm_resilience::{
-    ElasticCheckpoint, FaultPlan, GuardReport, RankFailure, RankSlot, StepCheckpoint,
-};
+use geofm_resilience::{ElasticCheckpoint, FaultPlan, GuardReport, RankFailure};
 use geofm_telemetry::Telemetry;
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Where a middleware sits in the canonical stack order. Declaration
 /// order **is** the required execution order; see the module docs for why
@@ -81,7 +74,7 @@ pub enum Stage {
     Guard,
     /// Fault injection (chaos harness only).
     Inject,
-    /// Step checkpointing (legacy + elastic two-barrier protocol).
+    /// Step checkpointing (GEOFMCK3 image, two-barrier protocol).
     Checkpoint,
     /// Failure-path comm drain.
     Drain,
@@ -721,16 +714,36 @@ impl<M: Module> RankMiddleware<M> for InjectMw<'_> {
 // Checkpoint
 // ---------------------------------------------------------------------------
 
+/// One rank's deposit for the two-barrier checkpoint protocol.
+struct RankSlot {
+    /// The rank's owned parameter shards (concatenated across units).
+    params: Vec<f32>,
+    /// AdamW state aligned with `params`.
+    adam: AdamWState,
+    /// The rank's local losses since the attempt's resume step.
+    losses: Vec<f32>,
+}
+
+/// Per-rank deposit slots shared by the [`CheckpointMw`]s of one attempt.
+pub struct CheckpointSlots(Vec<Mutex<Option<RankSlot>>>);
+
+impl CheckpointSlots {
+    /// One empty slot per rank of a `world`-rank attempt.
+    pub fn new(world: usize) -> Self {
+        Self((0..world).map(|_| Mutex::new(None)).collect())
+    }
+}
+
 /// The two-barrier checkpoint protocol: every rank deposits its slot,
-/// barrier, rank 0 assembles and persists (legacy [`StepCheckpoint`]
-/// and/or world-size-independent [`ElasticCheckpoint`]), barrier. Also
-/// carries the injected checkpoint-writer crash (torn half-write).
+/// barrier, rank 0 assembles the world-size-independent
+/// [`ElasticCheckpoint`] (GEOFMCK3), mirrors it crash-safely to
+/// [`ResilienceConfig::checkpoint_path`] when set and commits it as the
+/// in-memory snapshot restarts resume from, barrier. Also carries the
+/// injected checkpoint-writer crash (torn half-write).
 pub struct CheckpointMw<'a> {
     resilience: &'a ResilienceConfig,
-    elastic_on: bool,
-    elastic_disk: Option<&'a Path>,
-    elastic_snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
-    slots: &'a [Mutex<Option<RankSlot>>],
+    snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
+    slots: &'a CheckpointSlots,
     loss_prefix: &'a [f32],
     units: Vec<usize>,
     shard_size: usize,
@@ -739,28 +752,47 @@ pub struct CheckpointMw<'a> {
 
 impl<'a> CheckpointMw<'a> {
     /// Build the checkpoint middleware for one rank.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         resilience: &'a ResilienceConfig,
-        elastic_on: bool,
-        elastic_disk: Option<&'a Path>,
-        elastic_snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
-        slots: &'a [Mutex<Option<RankSlot>>],
+        snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
+        slots: &'a CheckpointSlots,
         loss_prefix: &'a [f32],
         units: Vec<usize>,
         shard_size: usize,
         tel: Option<Arc<Telemetry>>,
     ) -> Self {
-        Self {
-            resilience,
-            elastic_on,
-            elastic_disk,
-            elastic_snapshot,
-            slots,
-            loss_prefix,
-            units,
-            shard_size,
-            tel,
+        Self { resilience, snapshot, slots, loss_prefix, units, shard_size, tel }
+    }
+
+    /// Assemble the GEOFMCK3 image after `done` steps from every rank's
+    /// deposit. State is replicated across shard groups, so the first
+    /// group's shards carry everything.
+    fn image(&self, mut ranks: Vec<RankSlot>, done: usize) -> ElasticCheckpoint {
+        let world = ranks.len();
+        let mut mean_losses = self.loss_prefix.to_vec();
+        for i in 0..ranks[0].losses.len() {
+            mean_losses.push(ranks.iter().map(|s| s.losses[i]).sum::<f32>() / world as f32);
+        }
+        debug_assert_eq!(mean_losses.len(), done, "one world-mean loss per completed step");
+        let adam_t = ranks[0].adam.t;
+        ranks.truncate(self.shard_size);
+        let (mut params, mut adam_m, mut adam_v) = (Vec::new(), Vec::new(), Vec::new());
+        for s in ranks {
+            params.push(s.params);
+            adam_m.push(s.adam.m);
+            adam_v.push(s.adam.v);
+        }
+        let layout = FlatLayout::new(&self.units, self.shard_size);
+        ElasticCheckpoint {
+            step: done as u64,
+            world_written: world as u64,
+            shard_n_written: self.shard_size as u64,
+            adam_t,
+            unit_sizes: self.units.clone(),
+            params: shards_to_global(&layout, &params),
+            adam_m: shards_to_global(&layout, &adam_m),
+            adam_v: shards_to_global(&layout, &adam_v),
+            mean_losses,
         }
     }
 }
@@ -772,21 +804,14 @@ impl<M: Module> RankMiddleware<M> for CheckpointMw<'_> {
 
     fn on_step(&mut self, fr: &mut FsdpRank<M>, cx: &mut StepCx<'_>) -> Result<(), RankFailure> {
         let done = cx.step + 1;
-        if !(self.resilience.checkpoint_every > 0
-            && done.is_multiple_of(self.resilience.checkpoint_every)
-            && (self.resilience.checkpoint_path.is_some() || self.elastic_on))
-        {
+        let every = self.resilience.checkpoint_every;
+        if every == 0 || !done.is_multiple_of(every) {
             return Ok(());
         }
-        let (rank, step, world) = (cx.rank, cx.step, cx.world);
+        let (rank, step) = (cx.rank, cx.step);
         let (params, adam) = fr.export_state();
-        *lock(&self.slots[rank]) = Some(RankSlot {
-            params,
-            adam_m: adam.m,
-            adam_v: adam.v,
-            adam_t: adam.t,
-            losses: cx.local_losses.clone(),
-        });
+        *lock(&self.slots.0[rank]) =
+            Some(RankSlot { params, adam, losses: cx.local_losses.clone() });
         if let Err(lost) = fr.try_world_barrier() {
             fr.poison_groups();
             return Err(fail(rank, step, lost.to_string()));
@@ -794,18 +819,20 @@ impl<M: Module> RankMiddleware<M> for CheckpointMw<'_> {
         if rank == 0 {
             let ranks: Vec<RankSlot> = self
                 .slots
+                .0
                 .iter()
                 .map(|m| lock(m).take().expect("every rank deposits a slot pre-barrier"))
                 .collect();
+            let image = self.image(ranks, done);
+            let path = self.resilience.checkpoint_path.as_deref();
             if self.resilience.fault_plan.take_checkpoint_crash(step) {
                 // writer dies before any durable or in-memory image
-                // commits; with a legacy path, half the buffer lands in
+                // commits; with a durable path, half the buffer lands in
                 // the .tmp sibling (torn write) — the previous durable
                 // checkpoint survives
                 count(self.tel.as_deref(), "fault.injected_ckpt_crash");
-                if let Some(path) = self.resilience.checkpoint_path.as_ref() {
-                    let ck = StepCheckpoint { step: done as u64, ranks };
-                    let bytes = ck.to_bytes();
+                if let Some(path) = path {
+                    let bytes = image.to_bytes();
                     if let Some(parent) = path.parent() {
                         let _ = std::fs::create_dir_all(parent);
                     }
@@ -815,58 +842,16 @@ impl<M: Module> RankMiddleware<M> for CheckpointMw<'_> {
                 fr.poison_groups();
                 return Err(fail(rank, step, "injected checkpoint-writer crash".into()));
             }
-            if self.elastic_on {
-                // assemble the world-size-independent GEOFMCK3 image:
-                // state is replicated across shard groups, so the first
-                // group's shards carry everything
-                let layout = FlatLayout::new(&self.units, self.shard_size);
-                let take = |f: fn(&RankSlot) -> &Vec<f32>| -> Vec<Vec<f32>> {
-                    ranks[..self.shard_size].iter().map(|s| f(s).clone()).collect()
-                };
-                let mut mean_losses = self.loss_prefix.to_vec();
-                for i in 0..ranks[0].losses.len() {
-                    mean_losses
-                        .push(ranks.iter().map(|s| s.losses[i]).sum::<f32>() / world as f32);
-                }
-                let eck = ElasticCheckpoint {
-                    step: done as u64,
-                    world_written: world as u64,
-                    shard_n_written: self.shard_size as u64,
-                    adam_t: ranks[0].adam_t,
-                    unit_sizes: self.units.clone(),
-                    params: shards_to_global(&layout, &take(|s| &s.params)),
-                    adam_m: shards_to_global(&layout, &take(|s| &s.adam_m)),
-                    adam_v: shards_to_global(&layout, &take(|s| &s.adam_v)),
-                    mean_losses,
-                };
-                if let Some(path) = self.elastic_disk {
-                    let span = self
-                        .tel
-                        .as_deref()
-                        .map(|t| t.phase("reshard.ckpt.write", rank as u64));
-                    let saved = eck.save(path);
-                    drop(span);
-                    if let Err(e) = saved {
-                        fr.poison_groups();
-                        return Err(fail(
-                            rank,
-                            step,
-                            format!("elastic checkpoint write failed: {e}"),
-                        ));
-                    }
-                }
-                *lock(self.elastic_snapshot) = Some(eck);
-            }
-            if let Some(path) = self.resilience.checkpoint_path.as_ref() {
-                let ck = StepCheckpoint { step: done as u64, ranks };
+            if let Some(path) = path {
                 let span = self.tel.as_deref().map(|t| t.phase("ckpt.write", rank as u64));
-                let saved = ck.save(path);
+                let saved = image.save(path);
                 drop(span);
                 if let Err(e) = saved {
                     fr.poison_groups();
                     return Err(fail(rank, step, format!("checkpoint write failed: {e}")));
                 }
             }
+            *lock(self.snapshot) = Some(image);
             count(self.tel.as_deref(), "fault.checkpoints");
         }
         if let Err(lost) = fr.try_world_barrier() {

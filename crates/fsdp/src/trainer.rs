@@ -1,27 +1,34 @@
 //! Convenience harness: run a distributed training job across rank threads
 //! and collect the result.
 //!
-//! Two entry points:
+//! Five entry points, each a thin wrapper over the next:
 //!
 //! * [`run_data_parallel`] — the classic infallible harness. Any rank
 //!   failure (there should be none without fault injection) panics with a
 //!   structured report.
+//! * [`run_data_parallel_with_telemetry`] — the same, recording into an
+//!   optional shared [`Telemetry`] bundle.
 //! * [`try_run_data_parallel`] — the resilient harness. A [`ResilienceConfig`]
-//!   supplies a deterministic [`FaultPlan`], a step-checkpoint cadence, a
+//!   supplies a deterministic [`FaultPlan`], a checkpoint cadence, a
 //!   bounded collective timeout, and a restart budget. A rank that crashes
 //!   (injected or a real panic in `compute`) poisons its groups so every
 //!   peer surfaces `Err(RankLost)` within one timeout period; the harness
-//!   then restarts the world from the last durable checkpoint, resuming
+//!   then restarts the world from the last GEOFMCK3 snapshot, resuming
 //!   **bit-identically** — the final parameters equal those of a run that
 //!   never failed.
+//! * [`try_run_streaming`] — the resilient harness fed by an
+//!   [`IngestPlane`] instead of closure-synthesised batches.
+//! * [`try_run_elastic`] — the core every other entry point calls: the
+//!   resilient harness with a world-aware `compute` that may shrink and
+//!   re-grow the world ([`ElasticConfig`]).
 
 use crate::flat::FlatLayout;
 use crate::health::HealthMonitor;
 use crate::rank::{FsdpRank, StepError};
 use crate::reshard::global_to_shard;
 use crate::runtime::{
-    self, CheckpointMw, Control, DrainMw, DrainPolicy, GuardMw, HealthMw, InjectMw, ProbeMw,
-    RankMiddleware, RuntimeStack, StepCx,
+    self, CheckpointMw, CheckpointSlots, Control, DrainMw, DrainPolicy, GuardMw, HealthMw,
+    InjectMw, ProbeMw, RankMiddleware, RuntimeStack, StepCx,
 };
 use crate::sentinel::SentinelConfig;
 use crate::strategy::{FsdpConfig, ShardingStrategy};
@@ -33,12 +40,12 @@ use geofm_nn::{AdamWState, Module};
 use geofm_data::stream::{Batch, IngestPlane};
 use geofm_resilience::{
     DataReport, DegradedReport, ElasticCheckpoint, FailureReport, FaultPlan, GuardReport,
-    RankFailure, RankSlot, ReshardSummary, StepCheckpoint,
+    RankFailure, ReshardSummary,
 };
 use geofm_telemetry::Telemetry;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -139,12 +146,6 @@ pub struct ElasticConfig {
     /// Never shrink below this many ranks; a departure that would is a
     /// hard failure (the structured report names the limit).
     pub min_world: usize,
-    /// Where the world-size-independent GEOFMCK3 checkpoint lives. When
-    /// set, every checkpoint cadence also writes the elastic image
-    /// (crash-safely) and a cold start resumes from it at **any** world
-    /// size. `None` keeps the elastic image in memory only — shrink/grow
-    /// still reshard live from the last in-memory snapshot.
-    pub checkpoint_path: Option<PathBuf>,
     /// Bound on each phase of the survivor-consensus round run between
     /// drain and reshard (see [`SurvivorConsensus`]).
     pub consensus_timeout: Duration,
@@ -152,11 +153,7 @@ pub struct ElasticConfig {
 
 impl Default for ElasticConfig {
     fn default() -> Self {
-        Self {
-            min_world: 1,
-            checkpoint_path: None,
-            consensus_timeout: Duration::from_secs(10),
-        }
+        Self { min_world: 1, consensus_timeout: Duration::from_secs(10) }
     }
 }
 
@@ -205,11 +202,15 @@ pub struct ResilienceConfig {
     /// events are one-shot: they fire on the first attempt only, so the
     /// post-restart re-execution runs through.
     pub fault_plan: Arc<FaultPlan>,
-    /// Take a step checkpoint every this many completed steps (0 = never).
-    /// Requires `checkpoint_path`.
+    /// Take a checkpoint every this many completed steps (0 = never): the
+    /// world-size-independent GEOFMCK3 image, kept in memory as the
+    /// snapshot every restart and elastic reshard resumes from.
     pub checkpoint_every: usize,
-    /// Where the checkpoint lives. Written crash-safely (tmp + fsync +
-    /// rename, CRC32 footer); a restart resumes from it if present & valid.
+    /// Durable mirror of that image. Each checkpoint is written here
+    /// crash-safely (tmp + fsync + rename, CRC32 footer), and a cold start
+    /// resumes from the file at **any** world size when it is present and
+    /// valid; an unreadable file means "start fresh". `None` keeps the
+    /// image in memory only.
     pub checkpoint_path: Option<PathBuf>,
     /// Bound on every barrier wait inside collectives. A rank that dies
     /// without poisoning its groups (hard kill) still unblocks its peers
@@ -259,31 +260,10 @@ impl ResilienceConfig {
     }
 }
 
-/// Where an attempt's initial state comes from.
-enum ResumeSource {
-    /// No prior state: start at step 0 from the seeded model.
-    Fresh,
-    /// The legacy world-size-locked step checkpoint (GEOFMSC1).
-    Legacy(StepCheckpoint),
-    /// A world-size-independent elastic checkpoint (GEOFMCK3): shards are
-    /// re-derived from the global image under the attempt's own layout.
-    Elastic(ElasticCheckpoint),
-}
-
-impl ResumeSource {
-    fn start_step(&self) -> usize {
-        match self {
-            Self::Fresh => 0,
-            Self::Legacy(ck) => ck.step as usize,
-            Self::Elastic(ck) => ck.step as usize,
-        }
-    }
-}
-
 /// Lock a mutex, recovering the guard if a peer panicked while holding it.
 /// Rank threads die by design under fault injection; their poison must not
 /// cascade into the harness bookkeeping.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -363,8 +343,8 @@ where
 
 /// Fault-tolerant [`run_data_parallel`]: injects the faults scheduled in
 /// `resilience.fault_plan`, checkpoints at the configured cadence, and
-/// restarts the world from the last durable checkpoint after a failed
-/// attempt (up to `max_restarts` times). Returns the structured
+/// restarts the world from the last checkpoint after a failed attempt (up
+/// to `max_restarts` times). Returns the structured
 /// [`FailureReport`] when the restart budget is exhausted.
 ///
 /// Recovery is **bit-identical**: a run that crashes and resumes produces
@@ -491,10 +471,9 @@ where
 /// 3. **Reshard.** The world restarts at `world - departed` ranks — the
 ///    strategy remapped via [`ShardingStrategy::remap_for_world`] — and
 ///    every rank re-derives its shards from the last world-size-independent
-///    snapshot (in-memory, or the GEOFMCK3 file when
-///    [`ElasticConfig::checkpoint_path`] is set). Training continues
-///    **bit-identically** to a fresh run launched at the smaller world from
-///    that same state.
+///    GEOFMCK3 snapshot (see [`ResilienceConfig::checkpoint_every`]).
+///    Training continues **bit-identically** to a fresh run launched at the
+///    smaller world from that same state.
 ///
 /// A [`geofm_resilience::FaultKind::SpareRejoin`] reverses the process:
 /// the world re-grows by one rank (never past the original size) and
@@ -550,13 +529,12 @@ where
             .collect()
     });
 
-    // the latest world-size-independent snapshot; a cold start picks up the
-    // durable GEOFMCK3 image if the elastic config points at one
-    let elastic_snapshot: Mutex<Option<ElasticCheckpoint>> = Mutex::new(
+    // the latest GEOFMCK3 snapshot every attempt resumes from; a cold start
+    // picks up the durable image when `checkpoint_path` holds a valid one
+    let snapshot: Mutex<Option<ElasticCheckpoint>> = Mutex::new(
         resilience
-            .elastic
-            .as_ref()
-            .and_then(|e| e.checkpoint_path.as_deref())
+            .checkpoint_path
+            .as_deref()
             .and_then(|p| ElasticCheckpoint::load(p).ok())
             .filter(|ck| (ck.step as usize) <= steps),
     );
@@ -573,22 +551,9 @@ where
                 t.reset();
             }
         }
-        // resume priority: elastic snapshot (world-independent, usable at
-        // any size) > legacy step checkpoint (must match the world) > fresh
-        let resume = match lock(&elastic_snapshot).clone() {
-            Some(ck) if resilience.elastic.is_some() => ResumeSource::Elastic(ck),
-            _ => match resilience
-                .checkpoint_path
-                .as_deref()
-                .and_then(StepCheckpoint::load)
-                .filter(|ck| ck.ranks.len() == cur_world && (ck.step as usize) <= steps)
-            {
-                Some(ck) => ResumeSource::Legacy(ck),
-                None => ResumeSource::Fresh,
-            },
-        };
+        let resume = lock(&snapshot).clone();
         if failure.restarts_used > 0 {
-            failure.resumed_from_step = Some(resume.start_step() as u64);
+            failure.resumed_from_step = Some(resume.as_ref().map_or(0, |ck| ck.step));
         }
         if let (Some(t), Some(_)) = (telemetry.as_deref(), resilience.elastic.as_ref()) {
             t.metrics.gauge("reshard.world").set(cur_world as i64);
@@ -598,8 +563,7 @@ where
         let elastic = ElasticRuntime {
             on: resilience.elastic.is_some(),
             can_grow: cur_world < world,
-            snapshot: &elastic_snapshot,
-            disk: resilience.elastic.as_ref().and_then(|e| e.checkpoint_path.as_deref()),
+            snapshot: &snapshot,
             trackers: trackers.as_deref(),
         };
         let outcome = run_attempt(
@@ -657,7 +621,7 @@ where
                         failure.degraded = health.report().map(Box::new);
                         failure.failures.push(RankFailure {
                             rank: departed[0],
-                            step: resume_step_of(&elastic_snapshot),
+                            step: resume_step_of(&snapshot),
                             cause: format!(
                                 "cannot shrink to {target} ranks: below min_world {}",
                                 ecfg.min_world.max(1)
@@ -674,7 +638,7 @@ where
                         failure.degraded = health.report().map(Box::new);
                         failure.failures.push(RankFailure {
                             rank: 0,
-                            step: resume_step_of(&elastic_snapshot),
+                            step: resume_step_of(&snapshot),
                             cause: format!("survivor consensus failed: {e}"),
                         });
                         return Err(failure);
@@ -682,7 +646,7 @@ where
                     let from_world = cur_world;
                     cur_world = target;
                     cur_config.strategy = config.strategy.remap_for_world(cur_world);
-                    let ckpt = lock(&elastic_snapshot).clone().unwrap_or_default();
+                    let ckpt = lock(&snapshot).clone().unwrap_or_default();
                     failure.reshards.push(ReshardSummary {
                         step: ckpt.step,
                         from_world,
@@ -706,7 +670,7 @@ where
                     let from_world = cur_world;
                     cur_world += 1;
                     cur_config.strategy = config.strategy.remap_for_world(cur_world);
-                    let ckpt = lock(&elastic_snapshot).clone().unwrap_or_default();
+                    let ckpt = lock(&snapshot).clone().unwrap_or_default();
                     failure.reshards.push(ReshardSummary {
                         step: ckpt.step,
                         from_world,
@@ -783,10 +747,8 @@ struct ElasticRuntime<'a> {
     on: bool,
     /// A spare may rejoin (the world is below its original size).
     can_grow: bool,
-    /// Latest in-memory world-size-independent snapshot.
+    /// Latest in-memory GEOFMCK3 snapshot.
     snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
-    /// Durable GEOFMCK3 location, if configured.
-    disk: Option<&'a Path>,
     /// Per-rank adaptive-timeout trackers shared across attempts (reset by
     /// the restart loop), indexed by global rank.
     trackers: Option<&'a [Arc<AdaptiveTimeout>]>,
@@ -806,7 +768,7 @@ fn run_attempt<M, FM, FC, FL>(
     lr_at: &FL,
     telemetry: Option<&Arc<Telemetry>>,
     resilience: &ResilienceConfig,
-    resume: ResumeSource,
+    resume: Option<ElasticCheckpoint>,
     health: &HealthMonitor,
     guard_slot: &Mutex<Option<GuardReport>>,
     elastic: &ElasticRuntime<'_>,
@@ -833,19 +795,16 @@ where
         tel.metrics.gauge("overlap.enabled").set(i64::from(config.overlap.enabled));
         tel.metrics.gauge("overlap.prefetch.depth").set(config.overlap.prefetch_depth as i64);
     }
-    let start_step = resume.start_step();
-    // an elastic resume re-derives shards from the global image, so the
-    // per-rank loss series covers only `start_step..steps`; the world-mean
-    // prefix for the earlier steps comes from the checkpoint itself
-    let loss_prefix: Vec<f32> = match &resume {
-        ResumeSource::Elastic(ck) => ck.mean_losses.clone(),
-        _ => Vec::new(),
-    };
+    let start_step = resume.as_ref().map_or(0, |ck| ck.step as usize);
+    // a resume re-derives shards from the global image, so the per-rank
+    // loss series covers only `start_step..steps`; the world-mean prefix
+    // for the earlier steps comes from the checkpoint itself
+    let loss_prefix: Vec<f32> =
+        resume.as_ref().map(|ck| ck.mean_losses.clone()).unwrap_or_default();
 
     let params_out: Mutex<Option<Vec<f32>>> = Mutex::new(None);
     let losses: Vec<Mutex<Vec<f32>>> = (0..world).map(|_| Mutex::new(Vec::new())).collect();
-    // per-rank deposit slots for the two-barrier checkpoint protocol
-    let slots: Vec<Mutex<Option<RankSlot>>> = (0..world).map(|_| Mutex::new(None)).collect();
+    let slots = CheckpointSlots::new(world);
     let failures: Mutex<Vec<RankFailure>> = Mutex::new(Vec::new());
 
     std::thread::scope(|s| {
@@ -887,38 +846,23 @@ where
                         fr = fr.with_telemetry(Arc::clone(tel));
                     }
                     let mut local_losses: Vec<f32> = Vec::with_capacity(steps);
-                    match resume {
-                        ResumeSource::Fresh => {}
-                        ResumeSource::Legacy(ck) => {
-                            let slot = &ck.ranks[rank];
-                            fr.restore_state(
-                                &slot.params,
-                                AdamWState {
-                                    m: slot.adam_m.clone(),
-                                    v: slot.adam_v.clone(),
-                                    t: slot.adam_t,
-                                },
-                            );
-                            local_losses.extend_from_slice(&slot.losses);
+                    if let Some(ck) = resume {
+                        // world-size-independent resume: carve this rank's
+                        // shards out of the global image under the
+                        // attempt's own layout
+                        if let Err(e) = ck.validate_units(&units) {
+                            fr.poison_groups();
+                            return Err(fail(
+                                start_step,
+                                format!("elastic checkpoint rejected: {e}"),
+                            ));
                         }
-                        ResumeSource::Elastic(ck) => {
-                            // world-size-independent resume: carve this
-                            // rank's shards out of the global image under
-                            // the attempt's own layout
-                            if let Err(e) = ck.validate_units(&units) {
-                                fr.poison_groups();
-                                return Err(fail(
-                                    start_step,
-                                    format!("elastic checkpoint rejected: {e}"),
-                                ));
-                            }
-                            let layout = FlatLayout::new(&units, shard_size);
-                            let sr = fr.shard_rank();
-                            let params = global_to_shard(&layout, &ck.params, sr);
-                            let m = global_to_shard(&layout, &ck.adam_m, sr);
-                            let v = global_to_shard(&layout, &ck.adam_v, sr);
-                            fr.restore_state(&params, AdamWState { m, v, t: ck.adam_t });
-                        }
+                        let layout = FlatLayout::new(&units, shard_size);
+                        let sr = fr.shard_rank();
+                        let params = global_to_shard(&layout, &ck.params, sr);
+                        let m = global_to_shard(&layout, &ck.adam_m, sr);
+                        let v = global_to_shard(&layout, &ck.adam_v, sr);
+                        fr.restore_state(&params, AdamWState { m, v, t: ck.adam_t });
                     }
 
                     // ---- middleware stack (built post-restore so the
@@ -960,8 +904,6 @@ where
                     observe!();
                     mws.push(Box::new(CheckpointMw::new(
                         resilience,
-                        elastic.on,
-                        elastic.disk,
                         elastic.snapshot,
                         slots,
                         loss_prefix,
@@ -1137,7 +1079,7 @@ where
     }
 
     let per_rank: Vec<Vec<f32>> = losses.iter().map(|m| lock(m).clone()).collect();
-    // with an elastic resume the rank-local series covers start_step..steps
+    // after a resume the rank-local series covers start_step..steps
     // and the earlier world means come from the checkpoint prefix
     let local_steps = steps - loss_prefix.len();
     if per_rank.iter().any(|l| l.len() != local_steps) {
@@ -1178,6 +1120,7 @@ where
 mod tests {
     use super::*;
     use crate::strategy::ShardingStrategy;
+    use geofm_resilience::CkptError;
     use geofm_tensor::{Tensor, TensorRng};
     use geofm_vit::{VitConfig, VitModel};
 
@@ -1396,15 +1339,30 @@ mod tests {
         let path = dir.join("latest.ckpt");
         let steps = 6;
         // checkpoint after steps 2 and 4; the step-4 write is torn mid-buffer
-        // (and the writer dies), so recovery resumes from step 2
+        // and the writer dies with no restart budget, so the disk holds
+        // exactly what the crash left behind
         let resilience = ResilienceConfig {
             fault_plan: Arc::new(FaultPlan::none().with_checkpoint_crash(3)),
             checkpoint_every: 2,
             checkpoint_path: Some(path.clone()),
             collective_timeout: Some(Duration::from_secs(5)),
-            max_restarts: 1,
+            max_restarts: 0,
             ..ResilienceConfig::disabled()
         };
+        let err = run_resilient(ShardingStrategy::ShardGradOp, 2, steps, resilience)
+            .expect_err("the writer crash must fail the run");
+        assert!(err.failures.iter().any(|f| f.cause.contains("checkpoint-writer crash")), "{err}");
+        let durable = ElasticCheckpoint::load(&path).expect("the step-2 checkpoint stays durable");
+        assert_eq!(durable.step, 2);
+        assert!(
+            matches!(
+                ElasticCheckpoint::load(&path.with_extension("tmp")),
+                Err(CkptError::Truncated { .. })
+            ),
+            "the torn .tmp sibling must be rejected as truncated"
+        );
+
+        // a cold start from the surviving file finishes the run exactly
         let clean = run_resilient(
             ShardingStrategy::ShardGradOp,
             2,
@@ -1412,10 +1370,19 @@ mod tests {
             ResilienceConfig::disabled(),
         )
         .expect("clean run");
-        let recovered = run_resilient(ShardingStrategy::ShardGradOp, 2, steps, resilience)
-            .expect("must recover from the pre-torn checkpoint");
-        assert_eq!(recovered.restarts, 1);
-        assert_eq!(clean.final_params, recovered.final_params);
+        let resumed = run_resilient(
+            ShardingStrategy::ShardGradOp,
+            2,
+            steps,
+            ResilienceConfig {
+                checkpoint_path: Some(path.clone()),
+                collective_timeout: Some(Duration::from_secs(5)),
+                ..ResilienceConfig::disabled()
+            },
+        )
+        .expect("cold start from the durable checkpoint");
+        assert_eq!(clean.final_params, resumed.final_params);
+        assert_eq!(clean.mean_losses, resumed.mean_losses);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1783,8 +1750,8 @@ mod tests {
     }
 
     /// The acceptance invariant: a reference run launched at `world` from
-    /// the event's recorded checkpoint (via the durable GEOFMCK3 path) —
-    /// with the event's remapped strategy and no faults.
+    /// the event's recorded checkpoint (a cold start from the durable
+    /// GEOFMCK3 file) — with the event's remapped strategy and no faults.
     fn reference_from_event(ev: &ReshardEvent, steps: usize, tag: &str) -> DistReport {
         let dir = ckpt_dir(tag);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1796,11 +1763,8 @@ mod tests {
             ev.to_world,
             steps,
             ResilienceConfig {
+                checkpoint_path: Some(path),
                 collective_timeout: Some(Duration::from_secs(5)),
-                elastic: Some(ElasticConfig {
-                    checkpoint_path: Some(path),
-                    ..ElasticConfig::default()
-                }),
                 ..ResilienceConfig::disabled()
             },
         )
@@ -1816,12 +1780,10 @@ mod tests {
         let resilience = ResilienceConfig {
             fault_plan: Arc::new(FaultPlan::none().with_rank_leave(2, 3)),
             checkpoint_every: 2,
+            checkpoint_path: Some(dir.join("elastic.ck3")),
             collective_timeout: Some(Duration::from_secs(5)),
             max_restarts: 2,
-            elastic: Some(ElasticConfig {
-                checkpoint_path: Some(dir.join("elastic.ck3")),
-                ..ElasticConfig::default()
-            }),
+            elastic: Some(ElasticConfig::default()),
             ..ResilienceConfig::disabled()
         };
         let report = run_elastic(ShardingStrategy::FullShard, 3, 6, resilience)

@@ -1,27 +1,16 @@
-//! Crash-safe step checkpoints.
-//!
-//! Format (version 1, little-endian):
-//!
-//! ```text
-//! GEOFMSC1 | u64 payload_len | payload | u32 crc32(payload)
-//! payload := u64 step | u64 world
-//!          | world × ( u64 n_params | n_params × f32 params
-//!                    | n_params × f32 adam_m | n_params × f32 adam_v
-//!                    | u64 adam_t
-//!                    | u64 n_losses | n_losses × f32 losses )
-//! ```
+//! Integrity and durability primitives shared by every on-disk format in
+//! the workspace: the table-driven [`crc32`] (and its streaming form
+//! [`crc32_update`]) and the crash-safe [`atomic_write`].
 //!
 //! Writes go through [`atomic_write`]: the full buffer is written to a
 //! `.tmp` sibling, fsynced, then renamed over the destination. A crash at
-//! any point leaves either the previous checkpoint intact or a stray
-//! `.tmp` that is never read — the visible file is always complete. The
-//! CRC32 footer additionally rejects bit rot and torn writes on
-//! filesystems without atomic rename.
+//! any point leaves either the previous file intact or a stray `.tmp`
+//! that is never read — the visible file is always complete. A CRC32
+//! footer additionally rejects bit rot and torn writes on filesystems
+//! without atomic rename.
 
 use std::io::Write;
 use std::path::Path;
-
-const MAGIC: &[u8; 8] = b"GEOFMSC1";
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
 /// built at compile time.
@@ -80,147 +69,9 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// One rank's contribution to a step checkpoint.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RankSlot {
-    /// The rank's owned parameter shards (concatenated across units).
-    pub params: Vec<f32>,
-    /// AdamW first-moment state, aligned with `params`.
-    pub adam_m: Vec<f32>,
-    /// AdamW second-moment state, aligned with `params`.
-    pub adam_v: Vec<f32>,
-    /// AdamW step counter.
-    pub adam_t: u64,
-    /// The rank's local per-step losses for completed steps.
-    pub losses: Vec<f32>,
-}
-
-/// A versioned step-level checkpoint of a distributed run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StepCheckpoint {
-    /// Number of fully completed steps (the run resumes at this step index).
-    pub step: u64,
-    /// Per-rank state, indexed by global rank; `len()` is the world size.
-    pub ranks: Vec<RankSlot>,
-}
-
-impl StepCheckpoint {
-    /// Serialise to the on-disk format (header + payload + CRC footer).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.step.to_le_bytes());
-        payload.extend_from_slice(&(self.ranks.len() as u64).to_le_bytes());
-        for slot in &self.ranks {
-            debug_assert_eq!(slot.params.len(), slot.adam_m.len());
-            debug_assert_eq!(slot.params.len(), slot.adam_v.len());
-            payload.extend_from_slice(&(slot.params.len() as u64).to_le_bytes());
-            for series in [&slot.params, &slot.adam_m, &slot.adam_v] {
-                for v in series.iter() {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            payload.extend_from_slice(&slot.adam_t.to_le_bytes());
-            payload.extend_from_slice(&(slot.losses.len() as u64).to_le_bytes());
-            for v in &slot.losses {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let mut out = Vec::with_capacity(20 + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out
-    }
-
-    /// Parse and validate; `None` on any corruption (bad magic, short file,
-    /// length mismatch, CRC mismatch, inconsistent sections). Never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 20 || &bytes[..8] != MAGIC {
-            return None;
-        }
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
-        if bytes.len() != 16 + payload_len + 4 {
-            return None;
-        }
-        let payload = &bytes[16..16 + payload_len];
-        let stored_crc = u32::from_le_bytes(bytes[16 + payload_len..].try_into().ok()?);
-        if crc32(payload) != stored_crc {
-            return None;
-        }
-
-        let mut off = 0usize;
-        let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = payload.get(*off..*off + n)?;
-            *off += n;
-            Some(s)
-        };
-        let read_u64 =
-            |off: &mut usize| -> Option<u64> { Some(u64::from_le_bytes(take(off, 8)?.try_into().ok()?)) };
-        let read_f32s = |off: &mut usize, n: usize| -> Option<Vec<f32>> {
-            let raw = take(off, n.checked_mul(4)?)?;
-            Some(raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
-        };
-
-        let step = read_u64(&mut off)?;
-        let world = read_u64(&mut off)? as usize;
-        // each rank section is ≥ 24 bytes; reject absurd counts up front
-        if world == 0 || world > payload_len / 24 + 1 {
-            return None;
-        }
-        let mut ranks = Vec::with_capacity(world);
-        for _ in 0..world {
-            let n = read_u64(&mut off)? as usize;
-            let params = read_f32s(&mut off, n)?;
-            let adam_m = read_f32s(&mut off, n)?;
-            let adam_v = read_f32s(&mut off, n)?;
-            let adam_t = read_u64(&mut off)?;
-            let n_losses = read_u64(&mut off)? as usize;
-            let losses = read_f32s(&mut off, n_losses)?;
-            ranks.push(RankSlot { params, adam_m, adam_v, adam_t, losses });
-        }
-        if off != payload.len() {
-            return None; // trailing garbage protected by CRC, but be strict
-        }
-        Some(Self { step, ranks })
-    }
-
-    /// Crash-safe save (see module docs).
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Load and validate; `None` if the file is missing or corrupt.
-    pub fn load(path: &Path) -> Option<Self> {
-        Self::from_bytes(&std::fs::read(path).ok()?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> StepCheckpoint {
-        StepCheckpoint {
-            step: 12,
-            ranks: vec![
-                RankSlot {
-                    params: vec![1.0, -2.5, 3.25],
-                    adam_m: vec![0.1, 0.2, 0.3],
-                    adam_v: vec![0.01, 0.02, 0.03],
-                    adam_t: 12,
-                    losses: vec![9.0, 8.5],
-                },
-                RankSlot {
-                    params: vec![4.0, 5.0, 6.0],
-                    adam_m: vec![0.4, 0.5, 0.6],
-                    adam_v: vec![0.04, 0.05, 0.06],
-                    adam_t: 12,
-                    losses: vec![9.1, 8.6],
-                },
-            ],
-        }
-    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -237,65 +88,5 @@ mod tests {
             let streamed = !crc32_update(crc32_update(0xFFFF_FFFF, a), b);
             assert_eq!(streamed, crc32(data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn roundtrip_is_bit_exact() {
-        let ck = sample();
-        let bytes = ck.to_bytes();
-        let back = StepCheckpoint::from_bytes(&bytes).expect("must parse");
-        assert_eq!(ck, back);
-    }
-
-    #[test]
-    fn save_load_roundtrip_atomic() {
-        let dir = std::env::temp_dir().join("geofm-resilience-ckpt-rt");
-        let path = dir.join("latest.ckpt");
-        let ck = sample();
-        ck.save(&path).unwrap();
-        assert_eq!(StepCheckpoint::load(&path), Some(ck.clone()));
-        // overwrite with a newer one; no tmp residue should be loadable
-        let mut ck2 = ck.clone();
-        ck2.step = 24;
-        ck2.save(&path).unwrap();
-        assert_eq!(StepCheckpoint::load(&path).unwrap().step, 24);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncation_anywhere_is_rejected() {
-        let bytes = sample().to_bytes();
-        // every prefix length, including section boundaries, must fail to parse
-        for cut in 0..bytes.len() {
-            assert!(
-                StepCheckpoint::from_bytes(&bytes[..cut]).is_none(),
-                "truncation at byte {cut} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn bit_flips_are_rejected() {
-        let bytes = sample().to_bytes();
-        for pos in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x40;
-            assert!(
-                StepCheckpoint::from_bytes(&bad).is_none(),
-                "bit flip at byte {pos} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn stale_magic_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[..8].copy_from_slice(b"GEOFMSC0");
-        assert!(StepCheckpoint::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn missing_file_is_none() {
-        assert!(StepCheckpoint::load(Path::new("/nonexistent/geofm.ckpt")).is_none());
     }
 }

@@ -1,10 +1,10 @@
-//! World-size-independent elastic checkpoints (format `GEOFMCK3`).
+//! World-size-independent checkpoints (format `GEOFMCK3`) — the one
+//! format the distributed trainer takes, writes and resumes.
 //!
-//! The step checkpoints of [`crate::ckpt`] store *per-rank shards*: a file
-//! written by a world of N ranks can only be resumed by a world of exactly
-//! N ranks. That coupling is what makes a permanently lost rank fatal — the
-//! surviving N−1 ranks hold a perfectly good model but no checkpoint they
-//! can read. `GEOFMCK3` breaks the coupling by storing the **global**
+//! A checkpoint of *per-rank shards* could only be resumed by a world of
+//! exactly the writer's size, which makes a permanently lost rank fatal —
+//! the surviving N−1 ranks hold a perfectly good model but no checkpoint
+//! they can read. `GEOFMCK3` avoids the coupling by storing the **global**
 //! (unsharded, unpadded) state plus the layout needed to re-derive any
 //! sharding:
 //!
@@ -24,12 +24,16 @@
 //! stored — it is a function of the shard-group size, so it must be
 //! re-derived by the reader, never trusted from disk.
 //!
-//! Unlike the `Option`-returning legacy readers, every failure here is a
-//! structured [`CkptError`] so callers (and the corruption test suite) can
-//! distinguish truncation from bit rot from a stale format version. A
-//! `GEOFMSC1` or `GEOFMCK2` file fed to this reader is reported as
-//! [`CkptError::LegacyFormat`] rather than a generic bad-magic error, so
-//! upgrade paths can be explicit.
+//! `n_losses` must equal `step`: the trainer appends the loss prefix to
+//! the losses of the steps it resumes, so any other count is
+//! [`CkptError::Malformed`].
+//!
+//! Every failure is a structured [`CkptError`] so callers (and the
+//! corruption test suite) can distinguish truncation from bit rot from a
+//! stale format version. A file in an older workspace format (the retired
+//! per-rank step checkpoint, or the encoder cache's `GEOFMCK2`) fed to this
+//! reader is reported as [`CkptError::LegacyFormat`] rather than a generic
+//! bad-magic error, so upgrade paths can be explicit.
 
 use crate::ckpt::{atomic_write, crc32};
 use std::path::Path;
@@ -59,7 +63,7 @@ pub enum CkptError {
     /// The magic belongs to an older workspace format that must be
     /// migrated, not silently reinterpreted.
     LegacyFormat {
-        /// The legacy magic as a string (e.g. `"GEOFMSC1"`).
+        /// The legacy magic as a string (e.g. `"GEOFMCK2"`).
         magic: &'static str,
     },
     /// The CRC32 footer does not match the payload (bit rot / torn write).
@@ -255,8 +259,11 @@ impl ElasticCheckpoint {
         let params = read_f32s(&mut off, n_params)?;
         let adam_m = read_f32s(&mut off, n_params)?;
         let adam_v = read_f32s(&mut off, n_params)?;
-        let n_losses = read_u64(&mut off)? as usize;
-        let mean_losses = read_f32s(&mut off, n_losses)?;
+        let n_losses = read_u64(&mut off)?;
+        if n_losses != step {
+            return Err(CkptError::Malformed("loss count disagrees with step"));
+        }
+        let mean_losses = read_f32s(&mut off, n_losses as usize)?;
         if off != payload.len() {
             return Err(CkptError::Malformed("payload bytes left over"));
         }
@@ -286,8 +293,8 @@ impl ElasticCheckpoint {
         Ok(())
     }
 
-    /// Crash-safe save (`.tmp` sibling → fsync → rename, like the legacy
-    /// formats).
+    /// Crash-safe save (`.tmp` sibling → fsync → rename, see
+    /// [`atomic_write`]).
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
         atomic_write(path, &self.to_bytes()).map_err(|e| CkptError::Io(e.to_string()))
     }
@@ -397,6 +404,19 @@ mod tests {
             ck.validate_units(&[10, 8]),
             Err(CkptError::LayoutMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn loss_count_must_match_step() {
+        for n in [0, 4, 6, 10] {
+            let mut ck = sample();
+            ck.mean_losses = vec![1.0; n];
+            assert_eq!(
+                ElasticCheckpoint::from_bytes(&ck.to_bytes()),
+                Err(CkptError::Malformed("loss count disagrees with step")),
+                "{n} losses for step 5 must be rejected"
+            );
+        }
     }
 
     #[test]

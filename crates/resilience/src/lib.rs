@@ -11,11 +11,16 @@
 //!   crash mid-buffer). The same plan drives both the real threaded engine
 //!   (`geofm-fsdp`) and the Frontier campaign simulator, so a failure
 //!   scenario can be rehearsed in simulation and then replayed for real.
-//! * [`StepCheckpoint`] — a crash-safe, versioned step-level checkpoint
-//!   (per-rank parameter shards + AdamW state + step counter), written
-//!   tmp-file → fsync → rename with a CRC32 footer so a torn write can
-//!   never be loaded. [`atomic_write`] and [`crc32`] are exported for other
-//!   checkpoint formats (`geofm-core` uses them for encoder checkpoints).
+//! * [`ElasticCheckpoint`] — GEOFMCK3, the one checkpoint format the
+//!   distributed trainer takes, writes and resumes: the global (unsharded)
+//!   parameters, AdamW moments, unit layout, step counter and world-mean
+//!   loss prefix, readable at any world size. Written tmp-file → fsync →
+//!   rename with a CRC32 footer so a torn write can never be loaded; every
+//!   malformed file is a typed [`CkptError`], and files in older workspace
+//!   formats are named as [`CkptError::LegacyFormat`].
+//! * [`atomic_write`] and [`crc32`] — the crash-safe writer and checksum
+//!   behind GEOFMCK3, exported for other formats (`geofm-core` uses them
+//!   for encoder checkpoints).
 //! * [`mtbf`] — per-node exponential failure model, restart/rework cost
 //!   accounting ([`simulate_campaign`]) and the analytic Young/Daly optimal
 //!   checkpoint interval — the machinery behind the `figR` repro binary's
@@ -32,7 +37,7 @@
 //!   failure types do: both the data plane and the trainer must see it.
 //!
 //! [`crc32`] is the workspace's one table-driven CRC32 implementation,
-//! shared by the step checkpoints here, the encoder checkpoints in
+//! shared by the GEOFMCK3 checkpoints here, the encoder checkpoints in
 //! `geofm-core`, and the checksummed collectives in `geofm-collectives`.
 //! (It lives here rather than in `geofm-core` because `geofm-core` sits at
 //! the top of the crate graph — hosting it there would cycle.)
@@ -44,7 +49,7 @@ pub mod elastic;
 pub mod fault;
 pub mod mtbf;
 
-pub use ckpt::{atomic_write, crc32, crc32_update, RankSlot, StepCheckpoint};
+pub use ckpt::{atomic_write, crc32, crc32_update};
 pub use elastic::{CkptError, ElasticCheckpoint};
 pub use fault::{FaultKind, FaultMix, FaultPlan};
 pub use mtbf::{
@@ -126,7 +131,7 @@ impl std::fmt::Display for DegradedReport {
 pub struct FailureReport {
     /// Restart attempts consumed (0 = first attempt failed with no budget).
     pub restarts_used: usize,
-    /// Step checkpoint the final attempt resumed from, if any.
+    /// Checkpoint step the final attempt resumed from, if any.
     pub resumed_from_step: Option<u64>,
     /// Per-rank failures observed in the final attempt.
     pub failures: Vec<RankFailure>,

@@ -45,9 +45,9 @@
 //! | `fault.degraded_link` | counter | steps run over a degraded link |
 //! | `fault.rank_panic` | counter | rank bodies that panicked |
 //! | `fault.rank_lost` | counter | collectives that returned `RankLost` |
-//! | `fault.checkpoints` | counter | step checkpoints durably written |
+//! | `fault.checkpoints` | counter | checkpoints taken (in-memory image, plus the durable file when `checkpoint_path` is set) |
 //! | `fault.restarts` | counter | restarts performed by the harness |
-//! | `ckpt.write` | phase | atomic checkpoint write (histogram + span) |
+//! | `ckpt.write` | phase | atomic write of the durable GEOFMCK3 checkpoint (histogram + span) |
 //! | `fault.recovery` | phase | checkpoint load + state restore on restart |
 //!
 //! The gray-failure watchdog (`geofm_fsdp::HealthMonitor`) and the adaptive
@@ -101,7 +101,6 @@
 //! | `reshard.consensus.rounds` | counter | survivor consensus rounds completed |
 //! | `reshard.consensus.ns` | histogram | wall time of each survivor consensus round |
 //! | `reshard.drain.ns` | histogram | per-rank drain time quiescing in-flight collectives |
-//! | `reshard.ckpt.write` | phase | elastic (GEOFMCK3, world-size-independent) checkpoint write |
 //! | `fault.rank_leave` | counter | permanent rank departures fired by the fault plan |
 //! | `fault.spare_rejoin` | counter | spare-rejoin events fired by the fault plan |
 

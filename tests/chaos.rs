@@ -273,10 +273,7 @@ fn chaos_schedule(seed: u64) {
         }),
         straggler_threshold: 2.5,
         guard: Some(GuardConfig::default()),
-        elastic: Some(ElasticConfig {
-            checkpoint_path: Some(dir.join("elastic.ck3")),
-            ..ElasticConfig::default()
-        }),
+        elastic: Some(ElasticConfig::default()),
     };
 
     let started = Instant::now();

@@ -1,25 +1,24 @@
 //! Corrupted-checkpoint suite: every malformed on-disk artifact must be
-//! *rejected* (`None`), never trusted and never a panic.
+//! *rejected*, never trusted and never a panic.
 //!
-//! Covers every checkpoint format in the workspace:
+//! Covers both checkpoint formats in the workspace:
 //!
 //! * the encoder-level pretraining cache (`geofm_core::checkpoint`,
-//!   `GEOFMCK2` magic) via its explicit-directory API,
-//! * the step-level distributed checkpoint (`geofm_resilience::ckpt`),
-//!   where the payload is small enough to truncate at **every** byte
-//!   boundary exhaustively, and
-//! * the world-size-independent elastic checkpoint (`GEOFMCK3`), abused
-//!   end-to-end: the file under test is written by the *trainer*, and the
-//!   reader must map truncation / bit rot / legacy magics / layout
-//!   mismatch each to its own structured [`CkptError`] — `Option`-style
-//!   silent `None`s are not acceptable for the elastic path, because the
-//!   resharding trainer branches on the *kind* of rejection.
+//!   `GEOFMCK2` magic) via its explicit-directory API, and
+//! * `GEOFMCK3`, the one checkpoint the distributed trainer writes and
+//!   resumes, abused end-to-end: the file under test is written by the
+//!   *trainer*, and the reader must map truncation / bit rot / legacy
+//!   magics / layout mismatch each to its own structured [`CkptError`] —
+//!   silent `None`s are not acceptable, because the trainer branches on
+//!   the *kind* of rejection. Exhaustive every-byte truncation and bit-flip
+//!   sweeps of the format live beside its parser
+//!   (`crates/resilience/src/elastic.rs`).
 
 use geofm_core::checkpoint::{load_in, save_in};
 use geofm_core::{pretrain, RecipeConfig};
-use geofm_fsdp::{try_run_elastic, DistReport, ElasticConfig, FsdpConfig, ResilienceConfig};
+use geofm_fsdp::{try_run_elastic, DistReport, FsdpConfig, ResilienceConfig};
 use geofm_nn::{Linear, Module, ParamVisitor};
-use geofm_resilience::{CkptError, ElasticCheckpoint, FailureReport, RankSlot, StepCheckpoint};
+use geofm_resilience::{CkptError, ElasticCheckpoint, FailureReport};
 use geofm_tensor::{Tensor, TensorRng};
 use geofm_vit::VitConfig;
 use std::path::PathBuf;
@@ -109,39 +108,6 @@ fn encoder_checkpoint_rejects_every_corruption() {
 }
 
 #[test]
-fn step_checkpoint_rejects_truncation_at_every_boundary() {
-    let ck = StepCheckpoint {
-        step: 11,
-        ranks: (0..3)
-            .map(|r| RankSlot {
-                params: vec![r as f32; 5],
-                adam_m: vec![0.25; 5],
-                adam_v: vec![0.5; 5],
-                adam_t: 11,
-                losses: vec![1.0, 0.5],
-            })
-            .collect(),
-    };
-    let good = ck.to_bytes();
-    assert_eq!(StepCheckpoint::from_bytes(&good).as_ref(), Some(&ck));
-
-    for cut in 0..good.len() {
-        assert!(
-            StepCheckpoint::from_bytes(&good[..cut]).is_none(),
-            "truncation at byte {cut} must be rejected"
-        );
-    }
-    for byte in 0..good.len() {
-        let mut bad = good.clone();
-        bad[byte] ^= 0x10;
-        let reread = StepCheckpoint::from_bytes(&bad);
-        // Any single corrupted byte must either be caught (None) — the CRC
-        // guarantees this — and must certainly never reproduce the original.
-        assert!(reread.is_none(), "bit flip at byte {byte} must be rejected");
-    }
-}
-
-#[test]
 fn both_checkpoint_formats_share_the_canonical_crc32() {
     // One table-driven CRC32 for the whole workspace: implemented in
     // geofm-resilience, re-exported by geofm-core, reused by the collective
@@ -194,8 +160,8 @@ impl Toy {
     }
 }
 
-/// A short fault-free elastic run at world 2; `resilience` decides whether
-/// (and where) the GEOFMCK3 image lands on disk.
+/// A short fault-free run at world 2; `resilience` decides whether (and
+/// where) the GEOFMCK3 image lands on disk.
 fn toy_elastic_run(resilience: ResilienceConfig) -> Result<DistReport, FailureReport> {
     try_run_elastic(
         FsdpConfig::tuned(geofm_fsdp::ShardingStrategy::FullShard),
@@ -218,14 +184,11 @@ fn toy_elastic_run(resilience: ResilienceConfig) -> Result<DistReport, FailureRe
     )
 }
 
-fn elastic_resilience(path: PathBuf) -> ResilienceConfig {
+fn durable_resilience(path: PathBuf) -> ResilienceConfig {
     ResilienceConfig {
         checkpoint_every: 2,
+        checkpoint_path: Some(path),
         collective_timeout: Some(Duration::from_secs(5)),
-        elastic: Some(ElasticConfig {
-            checkpoint_path: Some(path),
-            ..ElasticConfig::default()
-        }),
         ..ResilienceConfig::disabled()
     }
 }
@@ -236,7 +199,7 @@ fn elastic_checkpoint_written_by_trainer_rejects_every_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("elastic.ck3");
-    toy_elastic_run(elastic_resilience(path.clone())).expect("writer run must succeed");
+    toy_elastic_run(durable_resilience(path.clone())).expect("writer run must succeed");
 
     let good = std::fs::read(&path).unwrap();
     let pristine = ElasticCheckpoint::load(&path).expect("pristine GEOFMCK3 must load");
@@ -317,7 +280,7 @@ fn trainer_starts_fresh_when_elastic_checkpoint_is_garbage() {
     // a torn/corrupt file at the resume path must be rejected and the run
     // started fresh — identical to a run with no checkpoint at all
     std::fs::write(&path, b"GEOFMCK3 but then the payload is nonsense").unwrap();
-    let abused = toy_elastic_run(elastic_resilience(path)).expect("run must not trust garbage");
+    let abused = toy_elastic_run(durable_resilience(path)).expect("run must not trust garbage");
     let fresh = toy_elastic_run(ResilienceConfig {
         collective_timeout: Some(Duration::from_secs(5)),
         ..ResilienceConfig::disabled()
@@ -348,7 +311,7 @@ fn trainer_surfaces_layout_mismatch_as_structured_failure() {
         mean_losses: vec![1.0, 0.9],
     };
     wrong.save(&path).unwrap();
-    let mut resilience = elastic_resilience(path);
+    let mut resilience = durable_resilience(path);
     resilience.max_restarts = 0;
     let report = toy_elastic_run(resilience).expect_err("mismatched layout must fail the run");
     assert!(
@@ -360,25 +323,39 @@ fn trainer_surfaces_layout_mismatch_as_structured_failure() {
 }
 
 #[test]
-fn step_checkpoint_save_is_atomic_and_reloadable() {
-    let dir = test_dir("step");
+fn trainer_starts_fresh_when_loss_count_disagrees_with_step() {
+    let dir = test_dir("loss-count");
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("s.ckpt");
-    let ck = StepCheckpoint {
-        step: 3,
-        ranks: vec![RankSlot {
-            params: vec![1.0, 2.0],
-            adam_m: vec![0.0; 2],
-            adam_v: vec![0.0; 2],
-            adam_t: 3,
-            losses: vec![],
-        }],
+    let path = dir.join("elastic.ck3");
+    // a CRC-valid image of *this* model whose loss prefix is longer than
+    // the whole 4-step run: unusable, so the run must start fresh
+    let units = Toy::new(7).1;
+    let n: usize = units.iter().sum();
+    let planted = ElasticCheckpoint {
+        step: 2,
+        world_written: 2,
+        shard_n_written: 2,
+        adam_t: 2,
+        unit_sizes: units,
+        params: vec![0.5; n],
+        adam_m: vec![0.0; n],
+        adam_v: vec![0.0; n],
+        mean_losses: vec![1.0; 10],
     };
-    ck.save(&path).unwrap();
-    assert_eq!(StepCheckpoint::load(&path).as_ref(), Some(&ck));
-    assert!(
-        !path.with_extension("tmp").exists(),
-        "atomic write must not leave a tmp sibling behind"
+    planted.save(&path).unwrap();
+    assert_eq!(
+        ElasticCheckpoint::load(&path),
+        Err(CkptError::Malformed("loss count disagrees with step"))
     );
+    let planted_run = toy_elastic_run(durable_resilience(path)).expect("run must start fresh");
+    let fresh = toy_elastic_run(ResilienceConfig {
+        collective_timeout: Some(Duration::from_secs(5)),
+        ..ResilienceConfig::disabled()
+    })
+    .expect("fresh run must succeed");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(&planted_run.final_params), bits(&fresh.final_params));
+    assert_eq!(bits(&planted_run.mean_losses), bits(&fresh.mean_losses));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -143,10 +143,7 @@ fn reference_from_event(ev: &ReshardEvent, seed: u64) -> DistReport {
     let report = run(
         config,
         ev.to_world,
-        ResilienceConfig {
-            elastic: Some(ElasticConfig { checkpoint_path: Some(path), ..ElasticConfig::default() }),
-            ..clean
-        },
+        ResilienceConfig { checkpoint_path: Some(path), ..clean },
     )
     .expect("disk-resumed reference must succeed");
     let _ = std::fs::remove_dir_all(&dir);
@@ -190,12 +187,10 @@ fn elastic_schedule(strategy: ShardingStrategy, seed: u64) {
     let resilience = ResilienceConfig {
         fault_plan: Arc::new(plan),
         checkpoint_every: ck_every,
+        checkpoint_path: dir.as_ref().map(|d| d.join("elastic.ck3")),
         collective_timeout: Some(Duration::from_secs(5)),
         max_restarts: 4,
-        elastic: Some(ElasticConfig {
-            checkpoint_path: dir.as_ref().map(|d| d.join("elastic.ck3")),
-            ..ElasticConfig::default()
-        }),
+        elastic: Some(ElasticConfig::default()),
         ..ResilienceConfig::disabled()
     };
 

@@ -137,10 +137,7 @@ fn run_once(
             max_rollbacks: WORLD * STEPS * 2,
             ..GuardConfig::default()
         }),
-        elastic: Some(ElasticConfig {
-            checkpoint_path: Some(dir.join("elastic.ck3")),
-            ..ElasticConfig::default()
-        }),
+        elastic: Some(ElasticConfig::default()),
     };
     try_run_elastic(
         if overlap { FsdpConfig::overlapped(strategy) } else { FsdpConfig::tuned(strategy) },
