@@ -10,11 +10,15 @@
 //! silently serializes the pipeline again (overlap-on median drifting up
 //! to the overlap-off median) shows up in review.
 //!
+//! The artifact also records `"isa"`, the GEMM kernels' instruction-set
+//! level (`geofm_tensor::kernel_isa`), so timings from hosts with
+//! different vector widths are not compared unawares.
+//!
 //! Usage: `bench_overlap [OUT.json]` (default `BENCH_overlap.json`).
 
 use geofm_fsdp::{run_data_parallel, FsdpConfig, ShardingStrategy};
 use geofm_nn::Module;
-use geofm_tensor::TensorRng;
+use geofm_tensor::{kernel_isa, TensorRng};
 use geofm_vit::{VitConfig, VitModel};
 use std::time::Instant;
 
@@ -121,7 +125,9 @@ fn main() {
     ];
 
     println!(
-        "BENCH overlap — median ns/step, world {WORLD}, {REPS} interleaved reps x {STEPS} steps"
+        "BENCH overlap — median ns/step, world {WORLD}, {REPS} interleaved reps x {STEPS} steps, \
+         kernels {}",
+        kernel_isa()
     );
     println!(
         "{:>14} {:>14} {:>14} {:>8} {:>12}",
@@ -150,9 +156,10 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"fsdp_step_overlap\",\n  \"world\": {WORLD},\n  \
+        "{{\n  \"bench\": \"fsdp_step_overlap\",\n  \"isa\": \"{}\",\n  \"world\": {WORLD},\n  \
          \"steps_per_rep\": {STEPS},\n  \"reps\": {REPS},\n  \"unit\": \"ns_per_step\",\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        kernel_isa(),
         entries.join(",\n")
     );
     std::fs::write(&out, json).expect("cannot write BENCH_overlap.json");

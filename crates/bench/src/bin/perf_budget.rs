@@ -17,6 +17,10 @@
 //!    `results/BENCH_overlap.json`. This catches the other failure mode:
 //!    both cells getting slower together, which check 1 is blind to.
 //!
+//! Both documents' GEMM kernel level (`"isa"`, see `geofm_tensor::kernel_isa`)
+//! is printed beside the verdicts; a document without the key reads
+//! `unknown`. The level informs, it does not gate.
+//!
 //! JSON parsing is hand-rolled against the exact shape `bench_overlap`
 //! emits (no new dependencies; the format is ours).
 //!
@@ -65,6 +69,12 @@ fn int_field(obj: &str, key: &str) -> Option<i64> {
         .find(|c: char| !c.is_ascii_digit() && c != '-')
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// The document's kernel instruction-set level, `unknown` when absent
+/// (artifacts written before the key existed).
+fn isa_of(doc: &str) -> String {
+    str_field(doc, "isa").unwrap_or_else(|| "unknown".into())
 }
 
 /// Parse the `rows` array of a `BENCH_overlap.json` document. Tolerates a
@@ -178,7 +188,7 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("perf_budget: overlap-on vs overlap-off ({current_path})");
+    println!("perf_budget: overlap-on vs overlap-off ({current_path}, kernels {})", isa_of(&doc));
     let mut violations = check_overlap_wins(&rows);
 
     if let Some(bp) = baseline_path {
@@ -186,7 +196,8 @@ fn main() -> ExitCode {
             Ok(bdoc) => match parse_rows(&bdoc) {
                 Ok(baseline) => {
                     println!(
-                        "perf_budget: regression vs baseline ({bp}, limit +{:.0}%)",
+                        "perf_budget: regression vs baseline ({bp}, kernels {}, limit +{:.0}%)",
+                        isa_of(&bdoc),
                         REGRESSION_FRAC * 100.0
                     );
                     violations.extend(check_baseline(&rows, &baseline));
@@ -279,6 +290,15 @@ mod tests {
             "overlap_off_ns_per_step": 900, "overlap_on_ns_per_step": 880}]}"#;
         let current = parse_rows(extra).unwrap();
         assert!(check_baseline(&current, &baseline).is_empty());
+    }
+
+    #[test]
+    fn isa_is_read_or_unknown() {
+        assert_eq!(isa_of(DOC), "unknown");
+        let doc = r#"{"bench": "fsdp_step_overlap", "isa": "avx512f", "rows": [{"strategy": "x",
+            "overlap_off_ns_per_step": 5, "overlap_on_ns_per_step": 5}]}"#;
+        assert_eq!(isa_of(doc), "avx512f");
+        assert_eq!(parse_rows(doc).unwrap().len(), 1);
     }
 
     #[test]

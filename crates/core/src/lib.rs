@@ -6,7 +6,7 @@
 //! a function of model scale.
 //!
 //! Everything is scaled down proportionally from the paper's setup (the
-//! hardware here is a single CPU core, not 64 Frontier nodes); the
+//! hardware here is a small CPU host, not 64 Frontier nodes); the
 //! hyper-parameter *structure* is preserved: AdamW + cosine + warmup +
 //! 75 % masking for pretraining, frozen encoder + LARS + cosine for
 //! probing. The scale knobs live in [`RecipeConfig`] and are env-tunable

@@ -1,7 +1,7 @@
 //! # geofm-tensor
 //!
-//! Dense `f32` tensors and the rayon-parallel compute kernels that back the
-//! whole `geofm` deep-learning stack.
+//! Dense `f32` tensors and the compute kernels that back the whole `geofm`
+//! deep-learning stack.
 //!
 //! The design goals, in order:
 //!
@@ -10,9 +10,13 @@
 //!    either works in place or returns a freshly allocated tensor. This is
 //!    what makes the FSDP flat-parameter machinery in `geofm-fsdp` trivial to
 //!    reason about (a parameter *is* its buffer).
-//! 2. **Throughput** — the hot kernels (`matmul` and friends) are blocked and
-//!    parallelised with rayon using the `i-k-j` loop order so the inner loop
-//!    is a vectorisable AXPY over contiguous memory.
+//! 2. **Throughput** — the hot kernels (`matmul` and friends) are
+//!    cache-blocked in the `i-k-j` loop order so the inner loop is a
+//!    vectorisable AXPY over contiguous memory, and run at the widest x86
+//!    vector width the CPU has (AVX-512F, AVX2 or the SSE2 baseline, picked
+//!    once per process; see [`kernel_isa`]) with the same bits at every
+//!    width. Their row panels are expressed as rayon `par_chunks_mut`, which
+//!    the in-repo rayon shim runs sequentially.
 //! 3. **Determinism** — all random initialisation goes through seedable RNGs
 //!    so distributed-equivalence tests can compare runs bit-for-bit.
 //!
@@ -26,7 +30,7 @@ pub mod ops;
 pub mod random;
 pub mod tensor;
 
-pub use matmul::{bmm, bmm_a_bt, bmm_at_b, matmul, matmul_a_bt, matmul_at_b};
+pub use matmul::{bmm, bmm_a_bt, bmm_at_b, kernel_isa, matmul, matmul_a_bt, matmul_at_b};
 pub use random::TensorRng;
 pub use tensor::Tensor;
 

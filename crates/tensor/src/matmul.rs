@@ -1,10 +1,12 @@
-//! Cache-blocked, rayon-parallel matrix multiplication kernels.
+//! Cache-blocked matrix multiplication kernels, compiled once per x86
+//! vector width and dispatched at run time.
 //!
 //! All accumulating kernels use the `i-k-j` loop order — the innermost loop
 //! is an AXPY over a contiguous row of the right operand, which
 //! auto-vectorises well — wrapped in a BLIS-style blocking scheme:
 //!
-//! * rows are processed in panels of [`MC`] (the rayon work grain),
+//! * rows are processed in panels of [`MC`] (the `par_chunks_mut` grain;
+//!   the in-repo rayon shim runs the panels sequentially),
 //! * the reduction dimension in panels of [`KC`],
 //! * the output columns in panels of [`NC`],
 //!
@@ -14,7 +16,7 @@
 //! pass over the C row folds in four rank-1 updates (4× less C traffic).
 //!
 //! **Bit-exactness contract**: for every output element, the partial
-//! products are accumulated in ascending-`k` order, one fused chain per
+//! products are accumulated in ascending-`k` order, one sequential chain per
 //! element, exactly like the textbook three-loop kernel. Blocking changes
 //! *when* each product is added, never the per-element order — so results
 //! are bit-identical to the naive kernel for all inputs, which
@@ -32,17 +34,32 @@
 //! * [`matmul_at_b`] — `C = Aᵀ · B`      with `A: [k,m]`, `B: [k,n]` (weight grads)
 //! * [`matmul_a_bt`] — `C = A · Bᵀ`      with `A: [m,k]`, `B: [n,k]` (input grads)
 //!
-//! `matmul_a_bt` is dot-product shaped rather than AXPY shaped; it uses
-//! eight independent accumulation chains per element and is therefore
-//! compared against references with a tolerance, not bit equality.
+//! `matmul_a_bt` is dot-product shaped rather than AXPY shaped: each
+//! element is one [`dot`] with eight lane chains, a sequential tail and a
+//! fixed combine. It differs from the textbook loop's rounding (so it is
+//! compared with them under a tolerance) but its own order is fixed, and
+//! `tests/kernel_differential.rs` pins it bit for bit against a reference
+//! that reproduces that order.
 //!
 //! Batched versions ([`bmm`], [`bmm_at_b`], [`bmm_a_bt`]) operate on 3-D
 //! tensors `[batch, ·, ·]`, parallelise over the batch dimension (the
 //! natural grain for multi-head attention) and route each slab through the
 //! same blocked cores, so the 2-D and batched kernels cannot drift apart.
+//!
+//! **Vector-width dispatch.** The three panel bodies (with [`axpy`],
+//! [`axpy4`] and [`dot`] inlined into them) are written once and compiled
+//! three times on x86-64: as `avx512f` and `avx2` clones via
+//! `#[target_feature]`, and as the portable baseline (SSE2). [`Isa`] picks
+//! the widest level the CPU reports, once per process; other targets build
+//! only the portable body. The levels give the same bits: Rust never
+//! contracts `a * b + c` into an FMA, and vectorising only changes how many
+//! *independent* elements share a register, never the operation order
+//! within one element's chain. Every level is tested against the portable
+//! body below.
 
 use crate::Tensor;
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Below this many output elements the kernels run sequentially; the rayon
 /// fork/join overhead would dominate otherwise.
@@ -55,7 +72,119 @@ const KC: usize = 64;
 /// Output-column panel; `KC * NC * 4` bytes ≈ 32 KiB ≈ L1.
 const NC: usize = 128;
 
-#[inline]
+/// Instruction-set level a panel body is compiled for.
+///
+/// Invariant: a value other than `Portable` exists only if the running CPU
+/// supports that level. It is built only by [`Isa::supported`], which
+/// checks with `is_x86_feature_detected!`; the dispatchers' `unsafe` calls
+/// rely on this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+}
+
+impl Isa {
+    /// Every level this CPU can run, narrowest first.
+    fn supported() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut levels = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                levels.push(Isa::Avx2);
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                levels.push(Isa::Avx512f);
+            }
+        }
+        levels
+    }
+
+    /// The widest supported level, detected on first use.
+    fn detected() -> Isa {
+        static LEVEL: OnceLock<Isa> = OnceLock::new();
+        *LEVEL.get_or_init(|| *Isa::supported().last().expect("portable is always supported"))
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => "avx512f",
+        }
+    }
+}
+
+/// The instruction-set level the GEMM kernels run at in this process:
+/// `"avx512f"`, `"avx2"` or `"portable"`. All levels produce the same bits;
+/// this names which one the measured speed belongs to.
+pub fn kernel_isa() -> &'static str {
+    Isa::detected().name()
+}
+
+/// For each panel body, emits its `avx512f` and `avx2` clones (x86-64
+/// only) and a dispatcher of the same signature plus a leading [`Isa`].
+/// The clones call the `#[inline(always)]` body, so each is the one source
+/// compiled with wider vectors.
+macro_rules! dispatch_per_isa {
+    ($(fn $name:ident => $body:ident($($arg:ident: $ty:ty),* $(,)?);)+) => {
+        #[cfg(target_arch = "x86_64")]
+        mod avx512f {
+            $(
+                #[target_feature(enable = "avx512f")]
+                pub(super) fn $body($($arg: $ty),*) {
+                    super::$body($($arg),*)
+                }
+            )+
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        mod avx2 {
+            $(
+                #[target_feature(enable = "avx2")]
+                pub(super) fn $body($($arg: $ty),*) {
+                    super::$body($($arg),*)
+                }
+            )+
+        }
+
+        $(
+            fn $name(isa: Isa, $($arg: $ty),*) {
+                match isa {
+                    Isa::Portable => $body($($arg),*),
+                    // SAFETY: `Isa::Avx512f` exists only when the CPU
+                    // reports avx512f (invariant on `Isa`).
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx512f => unsafe { avx512f::$body($($arg),*) },
+                    // SAFETY: `Isa::Avx2` exists only when the CPU reports
+                    // avx2 (invariant on `Isa`).
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx2 => unsafe { avx2::$body($($arg),*) },
+                }
+            }
+        )+
+    };
+}
+
+dispatch_per_isa! {
+    fn matmul_panel => matmul_panel_body(
+        a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, k: usize, n: usize,
+    );
+    fn matmul_at_b_panel => matmul_at_b_panel_body(
+        a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, kmn: [usize; 3],
+    );
+    fn matmul_a_bt_panel => matmul_a_bt_panel_body(
+        a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, k: usize, n: usize,
+    );
+}
+
+#[inline(always)]
 fn axpy(acc: &mut [f32], x: f32, row: &[f32]) {
     debug_assert_eq!(acc.len(), row.len());
     for (a, &r) in acc.iter_mut().zip(row.iter()) {
@@ -66,7 +195,7 @@ fn axpy(acc: &mut [f32], x: f32, row: &[f32]) {
 /// Four rank-1 updates folded into one pass over the C row. Each element
 /// still accumulates its four products in ascending-k order, so the result
 /// is bit-identical to four sequential [`axpy`] calls.
-#[inline]
+#[inline(always)]
 fn axpy4(acc: &mut [f32], x: [f32; 4], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) {
     let n = acc.len();
     let (r0, r1, r2, r3) = (&r0[..n], &r1[..n], &r2[..n], &r3[..n]);
@@ -80,9 +209,12 @@ fn axpy4(acc: &mut [f32], x: [f32; 4], r0: &[f32], r1: &[f32], r2: &[f32], r3: &
     }
 }
 
-/// Blocked `C += A · B` over rows `i0..i0+rows` of `A`/`C` (the sequential
-/// per-panel body shared by [`matmul_into`] and [`bmm`]).
-fn matmul_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
+/// Blocked `C += A · B` over the rows of `cpanel` (starting at row `i0` of
+/// `A`/`C`): the sequential per-panel body shared by [`matmul_into`] and
+/// [`bmm`].
+#[inline(always)]
+fn matmul_panel_body(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, k: usize, n: usize) {
+    let rows = cpanel.len() / n;
     let mut kc = 0;
     while kc < k {
         let kend = (kc + KC).min(k);
@@ -117,14 +249,15 @@ fn matmul_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize
 
 /// Blocked `C += Aᵀ · B` panel body (`A: [k,m]` accessed with stride `m`);
 /// `[k, m, n]` are the problem dimensions.
-fn matmul_at_b_panel(
+#[inline(always)]
+fn matmul_at_b_panel_body(
     a: &[f32],
     b: &[f32],
     cpanel: &mut [f32],
     i0: usize,
-    rows: usize,
     [k, m, n]: [usize; 3],
 ) {
+    let rows = cpanel.len() / n;
     let mut kc = 0;
     while kc < k {
         let kend = (kc + KC).min(k);
@@ -159,13 +292,29 @@ fn matmul_at_b_panel(
 
 /// Dot-product panel body for `C = A · Bᵀ` (rows of both operands are
 /// contiguous; each output element is one [`dot`]).
-fn matmul_a_bt_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    for r in 0..rows {
+#[inline(always)]
+fn matmul_a_bt_panel_body(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, k: usize, n: usize) {
+    for (r, crow) in cpanel.chunks_exact_mut(n).enumerate() {
         let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-        let crow = &mut cpanel[r * n..(r + 1) * n];
         for (j, cv) in crow.iter_mut().enumerate() {
             *cv = dot(arow, &b[j * k..(j + 1) * k]);
         }
+    }
+}
+
+/// Runs `panel(cpanel, i0)` over the `MC`-row panels of `C: [m, n]`
+/// (`i0` = the panel's first row), or over all of `C` at once when it is
+/// too small to split.
+fn for_each_row_panel(
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    panel: impl Fn(&mut [f32], usize) + Sync + Send,
+) {
+    if m * n >= PAR_THRESHOLD && m > 1 {
+        c.par_chunks_mut(MC * n).enumerate().for_each(|(ci, cpanel)| panel(cpanel, ci * MC));
+    } else if n > 0 {
+        panel(c, 0);
     }
 }
 
@@ -186,16 +335,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Raw-slice core of [`matmul`]; also used by the batched variant.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_into_at(Isa::detected(), a, b, c, m, k, n);
+}
+
+fn matmul_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(MC * n).enumerate().for_each(|(ci, cpanel)| {
-            matmul_panel(a, b, cpanel, ci * MC, cpanel.len() / n, k, n);
-        });
-    } else if n > 0 {
-        matmul_panel(a, b, c, 0, m, k, n);
-    }
+    for_each_row_panel(c, m, n, |cpanel, i0| matmul_panel(isa, a, b, cpanel, i0, k, n));
 }
 
 /// `C = Aᵀ · B` for `A: [k,m]`, `B: [k,n]` → `C: [m,n]`.
@@ -216,16 +363,14 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Raw-slice core of [`matmul_at_b`].
 pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
+    matmul_at_b_into_at(Isa::detected(), a, b, c, k, m, n);
+}
+
+fn matmul_at_b_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(MC * n).enumerate().for_each(|(ci, cpanel)| {
-            matmul_at_b_panel(a, b, cpanel, ci * MC, cpanel.len() / n, [k, m, n]);
-        });
-    } else if n > 0 {
-        matmul_at_b_panel(a, b, c, 0, m, [k, m, n]);
-    }
+    for_each_row_panel(c, m, n, |cpanel, i0| matmul_at_b_panel(isa, a, b, cpanel, i0, [k, m, n]));
 }
 
 /// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` → `C: [m,n]`.
@@ -244,7 +389,11 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-#[inline]
+/// `Σ x[i]·y[i]` in a fixed order: lane `l` of eight accumulates every
+/// `i ≡ l (mod 8)` of the whole 8-chunks in ascending order, the remainder
+/// forms a sequential `tail`, and the result is
+/// `((((s0+s4)+(s1+s5))+(s2+s6))+(s3+s7))+tail`.
+#[inline(always)]
 fn dot(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
     // Eight partial sums give the optimiser independent accumulation
@@ -266,16 +415,14 @@ fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 /// Raw-slice core of [`matmul_a_bt`].
 pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_a_bt_into_at(Isa::detected(), a, b, c, m, k, n);
+}
+
+fn matmul_a_bt_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(MC * n).enumerate().for_each(|(ci, cpanel)| {
-            matmul_a_bt_panel(a, b, cpanel, ci * MC, cpanel.len() / n, k, n);
-        });
-    } else if n > 0 {
-        matmul_a_bt_panel(a, b, c, 0, m, k, n);
-    }
+    for_each_row_panel(c, m, n, |cpanel, i0| matmul_a_bt_panel(isa, a, b, cpanel, i0, k, n));
 }
 
 fn batch_dims3(t: &Tensor, what: &str) -> (usize, usize, usize) {
@@ -283,58 +430,71 @@ fn batch_dims3(t: &Tensor, what: &str) -> (usize, usize, usize) {
     (t.dim(0), t.dim(1), t.dim(2))
 }
 
+/// `[bs, m, n]` output with `slab(bi, cslab)` filling each `[m, n]` slab,
+/// one batch entry per parallel task. Empty slabs (`m` or `n` zero) leave
+/// an empty output, as the 2-D kernels do.
+fn batched(
+    bs: usize,
+    m: usize,
+    n: usize,
+    slab: impl Fn(usize, &mut [f32]) + Sync + Send,
+) -> Tensor {
+    let mut out = Tensor::zeros(&[bs, m, n]);
+    if m * n > 0 {
+        out.data_mut().par_chunks_mut(m * n).enumerate().for_each(|(bi, cslab)| slab(bi, cslab));
+    }
+    out
+}
+
 /// Batched `C[b] = A[b] · B[b]` for `A: [bs,m,k]`, `B: [bs,k,n]`.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_at(Isa::detected(), a, b)
+}
+
+fn bmm_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (bs, m, k) = batch_dims3(a, "bmm A");
     let (bs2, kb, n) = batch_dims3(b, "bmm B");
     assert_eq!(bs, bs2, "bmm: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm: inner dims {} vs {}", k, kb);
-    let mut out = Tensor::zeros(&[bs, m, n]);
-    out.data_mut()
-        .par_chunks_mut(m * n)
-        .enumerate()
-        .for_each(|(bi, cslab)| {
-            let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
-            let bslab = &b.data()[bi * k * n..(bi + 1) * k * n];
-            matmul_panel(aslab, bslab, cslab, 0, m, k, n);
-        });
-    out
+    batched(bs, m, n, |bi, cslab| {
+        let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
+        let bslab = &b.data()[bi * k * n..(bi + 1) * k * n];
+        matmul_panel(isa, aslab, bslab, cslab, 0, k, n);
+    })
 }
 
 /// Batched `C[b] = A[b] · B[b]ᵀ` for `A: [bs,m,k]`, `B: [bs,n,k]`.
 pub fn bmm_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_a_bt_at(Isa::detected(), a, b)
+}
+
+fn bmm_a_bt_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (bs, m, k) = batch_dims3(a, "bmm_a_bt A");
     let (bs2, n, kb) = batch_dims3(b, "bmm_a_bt B");
     assert_eq!(bs, bs2, "bmm_a_bt: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm_a_bt: inner dims {} vs {}", k, kb);
-    let mut out = Tensor::zeros(&[bs, m, n]);
-    out.data_mut()
-        .par_chunks_mut(m * n)
-        .enumerate()
-        .for_each(|(bi, cslab)| {
-            let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
-            let bslab = &b.data()[bi * n * k..(bi + 1) * n * k];
-            matmul_a_bt_panel(aslab, bslab, cslab, 0, m, k, n);
-        });
-    out
+    batched(bs, m, n, |bi, cslab| {
+        let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
+        let bslab = &b.data()[bi * n * k..(bi + 1) * n * k];
+        matmul_a_bt_panel(isa, aslab, bslab, cslab, 0, k, n);
+    })
 }
 
 /// Batched `C[b] = A[b]ᵀ · B[b]` for `A: [bs,k,m]`, `B: [bs,k,n]`.
 pub fn bmm_at_b(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_at_b_at(Isa::detected(), a, b)
+}
+
+fn bmm_at_b_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (bs, k, m) = batch_dims3(a, "bmm_at_b A");
     let (bs2, kb, n) = batch_dims3(b, "bmm_at_b B");
     assert_eq!(bs, bs2, "bmm_at_b: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm_at_b: inner dims {} vs {}", k, kb);
-    let mut out = Tensor::zeros(&[bs, m, n]);
-    out.data_mut()
-        .par_chunks_mut(m * n)
-        .enumerate()
-        .for_each(|(bi, cslab)| {
-            let aslab = &a.data()[bi * k * m..(bi + 1) * k * m];
-            let bslab = &b.data()[bi * k * n..(bi + 1) * k * n];
-            matmul_at_b_panel(aslab, bslab, cslab, 0, m, [k, m, n]);
-        });
-    out
+    batched(bs, m, n, |bi, cslab| {
+        let aslab = &a.data()[bi * k * m..(bi + 1) * k * m];
+        let bslab = &b.data()[bi * k * n..(bi + 1) * k * n];
+        matmul_at_b_panel(isa, aslab, bslab, cslab, 0, [k, m, n]);
+    })
 }
 
 #[cfg(test)]
@@ -467,6 +627,17 @@ mod tests {
     }
 
     #[test]
+    fn batched_kernels_accept_empty_slabs() {
+        // a zero m or n used to reach `par_chunks_mut(0)` and panic
+        let (a, b) = (Tensor::zeros(&[2, 0, 3]), Tensor::zeros(&[2, 3, 4]));
+        assert_eq!(bmm(&a, &b).shape(), &[2, 0, 4]);
+        let (a, b) = (Tensor::zeros(&[2, 3, 0]), Tensor::zeros(&[2, 3, 4]));
+        assert_eq!(bmm_at_b(&a, &b).shape(), &[2, 0, 4]);
+        let (a, b) = (Tensor::zeros(&[2, 5, 3]), Tensor::zeros(&[2, 0, 3]));
+        assert_eq!(bmm_a_bt(&a, &b).shape(), &[2, 5, 0]);
+    }
+
+    #[test]
     fn dot_matches_reference() {
         let x: Vec<f32> = (0..13).map(|i| i as f32 * 0.5).collect();
         let y: Vec<f32> = (0..13).map(|i| 1.0 - i as f32 * 0.25).collect();
@@ -482,5 +653,150 @@ mod tests {
         let a = Tensor::from_vec(&[1, 2], vec![0.0, 1.0]);
         let b = Tensor::from_vec(&[2, 1], vec![f32::INFINITY, 1.0]);
         assert!(matmul(&a, &b).data()[0].is_nan());
+    }
+
+    // -----------------------------------------------------------------------
+    // Every instruction-set level ≡ the portable body.
+
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
+    }
+
+    /// A tensor of normals, or, with `specials`, one where a quarter of
+    /// the entries are ±0, ±∞, NaN, denormal or near the f32 range ends.
+    fn filled(rng: &mut crate::TensorRng, shape: &[usize], specials: bool) -> Tensor {
+        const SPECIALS: [f32; 9] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 2.0, // denormal
+            1e-38,
+            1e38,
+        ];
+        let len = shape.iter().product();
+        let data = (0..len)
+            .map(|_| {
+                if specials && rng.below(4) == 0 {
+                    SPECIALS[rng.below(SPECIALS.len())]
+                } else {
+                    rng.normal()
+                }
+            })
+            .collect();
+        Tensor::from_vec(shape, data)
+    }
+
+    /// Runs the three 2-D entry points (and, with `batched`, the three
+    /// batched ones over two slabs) at every level the host supports, and
+    /// asserts each level's output equals the portable body's bit for bit
+    /// (NaNs canonicalised).
+    fn assert_levels_agree(m: usize, k: usize, n: usize, specials: bool, batched: bool) {
+        let mut rng = crate::TensorRng::seed_from((m * 1_000_003 + k * 1009 + n) as u64);
+        let a = filled(&mut rng, &[m, k], specials);
+        let b = filled(&mut rng, &[k, n], specials);
+        let at = filled(&mut rng, &[k, m], specials);
+        let bt = filled(&mut rng, &[n, k], specials);
+        let run = |isa: Isa| {
+            let mut outs = vec![vec![0.0f32; m * n]; 3];
+            matmul_into_at(isa, a.data(), b.data(), &mut outs[0], m, k, n);
+            matmul_at_b_into_at(isa, at.data(), b.data(), &mut outs[1], k, m, n);
+            matmul_a_bt_into_at(isa, a.data(), bt.data(), &mut outs[2], m, k, n);
+            outs
+        };
+        let (a3, b3) = (filled(&mut rng, &[2, m, k], specials), filled(&mut rng, &[2, k, n], specials));
+        let (at3, bt3) = (filled(&mut rng, &[2, k, m], specials), filled(&mut rng, &[2, n, k], specials));
+        let run_batched = |isa: Isa| {
+            [bmm_at(isa, &a3, &b3), bmm_at_b_at(isa, &at3, &b3), bmm_a_bt_at(isa, &a3, &bt3)]
+                .map(|t| t.data().to_vec())
+        };
+        let portable = run(Isa::Portable);
+        let portable_batched = if batched { run_batched(Isa::Portable).to_vec() } else { vec![] };
+        for isa in Isa::supported().into_iter().filter(|&isa| isa != Isa::Portable) {
+            let names = ["matmul_into", "matmul_at_b_into", "matmul_a_bt_into"];
+            for ((name, want), got) in names.iter().zip(&portable).zip(run(isa)) {
+                assert_eq!(
+                    canonical_bits(want),
+                    canonical_bits(&got),
+                    "{name} {m}x{k}x{n} (specials {specials}): {isa:?} differs from portable"
+                );
+            }
+            if batched {
+                let names = ["bmm", "bmm_at_b", "bmm_a_bt"];
+                for ((name, want), got) in names.iter().zip(&portable_batched).zip(run_batched(isa)) {
+                    assert_eq!(
+                        canonical_bits(want),
+                        canonical_bits(&got),
+                        "{name} 2x{m}x{k}x{n} (specials {specials}): {isa:?} differs from portable"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_isa_names_the_widest_supported_level() {
+        let widest = *Isa::supported().last().unwrap();
+        assert_eq!(Isa::detected(), widest);
+        assert_eq!(kernel_isa(), widest.name());
+        assert!(["portable", "avx2", "avx512f"].contains(&kernel_isa()));
+    }
+
+    #[test]
+    fn every_level_matches_portable_on_lane_and_k_tails() {
+        // n = 17..=31 puts n mod 16 through 1..=15 (a 512-bit register's
+        // tail) and k = 5..=19 puts k mod 4 (axpy4) and k mod 8 (dot)
+        // through every remainder; n = 1..=15 covers rows narrower than
+        // one register
+        for t in 1..16 {
+            assert_levels_agree(t % 5 + 1, 4 + t, 16 + t, false, true);
+            assert_levels_agree(2, t, t, false, true);
+        }
+    }
+
+    #[test]
+    fn every_level_matches_portable_across_tile_boundaries() {
+        // below, at and above MC = 32, KC = 64 and NC = 128
+        for (m, k, n) in [(31, 63, 127), (32, 64, 128), (33, 65, 129), (65, 129, 257), (1, 200, 3)] {
+            assert_levels_agree(m, k, n, false, true);
+        }
+    }
+
+    #[test]
+    fn every_level_matches_portable_on_benchmark_linear_shapes() {
+        // the MAE encoder/decoder Linear shapes of the benchmark (rows x
+        // in x out) and their transposes, as the backward pass uses them
+        for (m, k, n) in [
+            (544, 64, 192),
+            (544, 64, 256),
+            (2080, 32, 96),
+            (2080, 32, 128),
+            (544, 192, 64),
+            (544, 256, 64),
+            (2080, 96, 32),
+            (2080, 128, 32),
+            (64, 544, 192),
+            (32, 2080, 128),
+        ] {
+            assert_levels_agree(m, k, n, false, false);
+        }
+    }
+
+    #[test]
+    fn every_level_matches_portable_on_head_dim_8_slabs() {
+        // attention at head dim 8: scores 65x8x65, context 65x65x8, and
+        // the 17-token decoder slabs
+        for (m, k, n) in [(65, 8, 65), (65, 65, 8), (17, 17, 8), (17, 8, 17)] {
+            assert_levels_agree(m, k, n, false, true);
+        }
+    }
+
+    #[test]
+    fn every_level_matches_portable_on_ieee_edge_values() {
+        for (m, k, n) in [(3, 5, 17), (7, 13, 31), (33, 65, 129), (65, 8, 65), (9, 70, 140)] {
+            assert_levels_agree(m, k, n, true, true);
+        }
     }
 }

@@ -1,16 +1,18 @@
 //! Offline shim for [rayon](https://crates.io/crates/rayon).
 //!
-//! The build environment has no crates-io access, and the target machine
-//! exposes a single CPU core, so data-parallel execution would win nothing.
-//! This shim keeps the `par_*` call sites source-compatible by returning the
+//! The build environment has no crates-io access. This shim keeps the
+//! `par_*` call sites source-compatible by returning the
 //! corresponding **sequential** standard-library iterators: `par_chunks`
 //! is `chunks`, `par_iter_mut` is `iter_mut`, and every adaptor that the
 //! workspace chains afterwards (`zip`, `enumerate`, `for_each`) is then the
 //! plain `Iterator` method.
 //!
-//! The kernels written against this API therefore express their available
-//! parallelism exactly as with the real rayon — swapping the real crate back
-//! in requires no source change outside the workspace manifest.
+//! Every `par_*` call therefore runs on the calling thread, whatever the
+//! host's core count. The workspace's concurrency comes from its own
+//! threads (FSDP rank and comm threads, ingest workers, serve workers); the
+//! kernels written against this API express their available parallelism
+//! exactly as with the real rayon, so swapping the real crate back in
+//! requires no source change outside the workspace manifest.
 
 /// Drop-in for `rayon::prelude`.
 pub mod prelude {

@@ -10,16 +10,26 @@
 //! **bit-identical** results — asserted across ~64 seeded shapes per
 //! kernel, deliberately including non-multiples of the MC/KC/NC tiles,
 //! degenerate dims, denormals, zero gradients and NaN/∞ inputs. The
-//! dot-shaped `matmul_a_bt` uses eight accumulation chains and is held to
-//! a tight relative tolerance instead.
+//! dot-shaped `matmul_a_bt` reassociates the sum into eight lane chains:
+//! it is held to a tight relative tolerance against the textbook loop, and
+//! bit for bit against a reference that reproduces its lane order.
+//!
+//! The kernels run at whatever vector width the CPU offers
+//! (`geofm_tensor::kernel_isa`). Every row here holds at every width, and
+//! a short MAE pretraining run must reproduce pinned loss bits, so the
+//! training trajectory does not depend on which CPU runs it.
 //!
 //! The crate's own `tanh` (`geofm_nn::tanh`, under GELU) is held to an ulp
 //! bound against the host's `f32::tanh`, to exact IEEE edge behaviour and
 //! odd symmetry, and to a table of pinned output bits, so that neither an
 //! edit nor a toolchain change can move GELU numerics unnoticed.
 
+use geofm_mae::{MaeConfig, MaePretrainer};
 use geofm_nn::{tanh, AdamW, Optimizer};
-use geofm_tensor::{bmm, bmm_a_bt, bmm_at_b, matmul, matmul_a_bt, matmul_at_b, Tensor, TensorRng};
+use geofm_tensor::{
+    bmm, bmm_a_bt, bmm_at_b, kernel_isa, matmul, matmul_a_bt, matmul_at_b, Tensor, TensorRng,
+};
+use geofm_vit::VitConfig;
 
 const TRIALS: u64 = 64;
 
@@ -103,6 +113,32 @@ fn naive_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
+/// `A · Bᵀ` in `matmul_a_bt`'s own order: for each element, lane `l` of
+/// eight accumulates every `k ≡ l (mod 8)` of the whole 8-chunks in
+/// ascending order, the remaining `k mod 8` products form a sequential
+/// `tail`, and the result is `((((s0+s4)+(s1+s5))+(s2+s6))+(s3+s7))+tail`.
+fn lane_order_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = (a.dim(0), a.dim(1));
+    let n = b.dim(0);
+    let whole = k - k % 8;
+    let mut out = Tensor::zeros(&[m, n]);
+    for i in 0..m {
+        for j in 0..n {
+            let mut s = [0.0f32; 8];
+            for kk in 0..whole {
+                s[kk % 8] += a.at(&[i, kk]) * b.at(&[j, kk]);
+            }
+            let mut tail = 0.0f32;
+            for kk in whole..k {
+                tail += a.at(&[i, kk]) * b.at(&[j, kk]);
+            }
+            let v = ((((s[0] + s[4]) + (s[1] + s[5])) + (s[2] + s[6])) + (s[3] + s[7])) + tail;
+            out.set(&[i, j], v);
+        }
+    }
+    out
+}
+
 #[test]
 fn blocked_matmul_bit_identical_to_naive_across_shapes() {
     for trial in 0..TRIALS {
@@ -153,6 +189,50 @@ fn a_bt_matches_naive_within_tight_tolerance() {
             assert!(
                 (x - y).abs() <= 1e-5 * scale,
                 "trial {trial} ({m}x{k}x{n}) elem {i}: {x} vs {y}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_bt_bit_identical_to_lane_order_reference_across_shapes() {
+    // the same 64 seeded shapes as the tolerance row, plus special values
+    // in every fourth trial; NaNs canonicalized, every other bit exact
+    let specials =
+        [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MIN_POSITIVE / 2.0];
+    for trial in 0..TRIALS {
+        let (m, k, n) = trial_dims(33, trial);
+        let bs = (trial as usize % 3) + 1;
+        let mut rng = TensorRng::seed_from(700 + trial);
+        let mut fill = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    if trial % 4 == 3 && rng.below(4) == 0 {
+                        specials[rng.below(specials.len())]
+                    } else {
+                        rng.normal()
+                    }
+                })
+                .collect()
+        };
+        let a = Tensor::from_vec(&[bs, m, k], fill(bs * m * k));
+        let b = Tensor::from_vec(&[bs, n, k], fill(bs * n * k));
+        let batched = bmm_a_bt(&a, &b);
+        for bi in 0..bs {
+            let asl = Tensor::from_vec(&[m, k], a.data()[bi * m * k..(bi + 1) * m * k].to_vec());
+            let bsl = Tensor::from_vec(&[n, k], b.data()[bi * n * k..(bi + 1) * n * k].to_vec());
+            let want = canonical_bits(lane_order_a_bt(&asl, &bsl).data());
+            assert_eq!(
+                canonical_bits(matmul_a_bt(&asl, &bsl).data()),
+                want,
+                "trial {trial} slab {bi} ({m}x{k}x{n}, {}): matmul_a_bt left dot's lane order",
+                kernel_isa()
+            );
+            assert_eq!(
+                canonical_bits(&batched.data()[bi * m * n..(bi + 1) * m * n]),
+                want,
+                "trial {trial} slab {bi} ({m}x{k}x{n}, {}): bmm_a_bt left dot's lane order",
+                kernel_isa()
             );
         }
     }
@@ -511,4 +591,39 @@ fn tanh_output_bits_are_pinned() {
             f32::from_bits(output)
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// MAE pretraining losses pinned as bits.
+
+/// Loss bits of the first four steps of `pinned_mae_losses`, recorded
+/// with the SSE2-only kernels that predate the per-width dispatch. A
+/// kernel, GELU or optimiser change that moves any training bit fails
+/// here, on every CPU.
+const PINNED_MAE_LOSS_BITS: [u32; 4] = [0x3fa1_306d, 0x3fa0_7dd8, 0x3f9e_8fe5, 0x3f9c_5c25];
+
+/// T-Base MAE (model seed 7), batch 4 of seed-11 normal images, mask
+/// seed 9: the loss of each of four `MaePretrainer::step`s.
+fn pinned_mae_losses() -> Vec<f32> {
+    let encoder = VitConfig::tiny_family()
+        .into_iter()
+        .find(|c| c.name == "T-Base")
+        .expect("T-Base is in the tiny family");
+    let pixels = encoder.channels * encoder.img * encoder.img;
+    let cfg = MaeConfig::tiny(encoder);
+    let mut trainer = MaePretrainer::new(&cfg, 1e-3, 100, &mut TensorRng::seed_from(7));
+    let images = TensorRng::seed_from(11).randn(&[4, pixels], 1.0);
+    let mut mask_rng = TensorRng::seed_from(9);
+    (0..4).map(|_| trainer.step(&images, &mut mask_rng).loss).collect()
+}
+
+#[test]
+fn mae_pretraining_loss_bits_are_pinned() {
+    let losses = pinned_mae_losses();
+    assert_eq!(
+        bits(&losses),
+        PINNED_MAE_LOSS_BITS,
+        "MAE losses {losses:?} moved at kernel level {}",
+        kernel_isa()
+    );
 }
