@@ -295,9 +295,9 @@ mod tests {
     #[test]
     fn isa_is_read_or_unknown() {
         assert_eq!(isa_of(DOC), "unknown");
-        let doc = r#"{"bench": "fsdp_step_overlap", "isa": "avx512f", "rows": [{"strategy": "x",
+        let doc = r#"{"bench": "fsdp_step_overlap", "isa": "avx2", "rows": [{"strategy": "x",
             "overlap_off_ns_per_step": 5, "overlap_on_ns_per_step": 5}]}"#;
-        assert_eq!(isa_of(doc), "avx512f");
+        assert_eq!(isa_of(doc), "avx2");
         assert_eq!(parse_rows(doc).unwrap().len(), 1);
     }
 

@@ -12,10 +12,9 @@
 //!    reason about (a parameter *is* its buffer).
 //! 2. **Throughput** — the hot kernels (`matmul` and friends) are
 //!    cache-blocked in the `i-k-j` loop order so the inner loop is a
-//!    vectorisable AXPY over contiguous memory, and run at the widest x86
-//!    vector width the CPU has (AVX-512F, AVX2 or the SSE2 baseline, picked
-//!    once per process; see [`kernel_isa`]) with the same bits at every
-//!    width. Their row panels are expressed as rayon `par_chunks_mut`, which
+//!    vectorisable AXPY over contiguous memory, and run at AVX2 width when
+//!    the CPU has it and at the SSE2 baseline otherwise (picked once per
+//!    process; see [`kernel_isa`]), with the same bits at both widths. Their row panels are expressed as rayon `par_chunks_mut`, which
 //!    the in-repo rayon shim runs sequentially.
 //! 3. **Determinism** — all random initialisation goes through seedable RNGs
 //!    so distributed-equivalence tests can compare runs bit-for-bit.

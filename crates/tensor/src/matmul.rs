@@ -48,14 +48,13 @@
 //!
 //! **Vector-width dispatch.** The three panel bodies (with [`axpy`],
 //! [`axpy4`] and [`dot`] inlined into them) are written once and compiled
-//! three times on x86-64: as `avx512f` and `avx2` clones via
-//! `#[target_feature]`, and as the portable baseline (SSE2). [`Isa`] picks
-//! the widest level the CPU reports, once per process; other targets build
-//! only the portable body. The levels give the same bits: Rust never
-//! contracts `a * b + c` into an FMA, and vectorising only changes how many
-//! *independent* elements share a register, never the operation order
-//! within one element's chain. Every level is tested against the portable
-//! body below.
+//! twice on x86-64: as an `avx2` clone via `#[target_feature]` and as the
+//! portable baseline (SSE2). [`Isa`] picks AVX2 when the CPU reports it,
+//! once per process; other targets build only the portable body. Both
+//! levels give the same bits: Rust never contracts `a * b + c` into an FMA,
+//! and vectorising only changes how many *independent* elements share a
+//! register, never the operation order within one element's chain. The
+//! AVX2 clone is tested against the portable body below.
 
 use crate::Tensor;
 use rayon::prelude::*;
@@ -83,8 +82,6 @@ enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512f,
 }
 
 impl Isa {
@@ -93,13 +90,8 @@ impl Isa {
         #[allow(unused_mut)]
         let mut levels = vec![Isa::Portable];
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::is_x86_feature_detected!("avx2") {
-                levels.push(Isa::Avx2);
-            }
-            if std::is_x86_feature_detected!("avx512f") {
-                levels.push(Isa::Avx512f);
-            }
+        if std::is_x86_feature_detected!("avx2") {
+            levels.push(Isa::Avx2);
         }
         levels
     }
@@ -115,35 +107,23 @@ impl Isa {
             Isa::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => "avx2",
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512f => "avx512f",
         }
     }
 }
 
 /// The instruction-set level the GEMM kernels run at in this process:
-/// `"avx512f"`, `"avx2"` or `"portable"`. All levels produce the same bits;
-/// this names which one the measured speed belongs to.
+/// `"avx2"` or `"portable"`. Both levels produce the same bits; this names
+/// which one the measured speed belongs to.
 pub fn kernel_isa() -> &'static str {
     Isa::detected().name()
 }
 
-/// For each panel body, emits its `avx512f` and `avx2` clones (x86-64
-/// only) and a dispatcher of the same signature plus a leading [`Isa`].
-/// The clones call the `#[inline(always)]` body, so each is the one source
-/// compiled with wider vectors.
+/// For each panel body, emits its `avx2` clone (x86-64 only) and a
+/// dispatcher of the same signature plus a leading [`Isa`]. The clone calls
+/// the `#[inline(always)]` body, so it is the one source compiled with
+/// wider vectors.
 macro_rules! dispatch_per_isa {
     ($(fn $name:ident => $body:ident($($arg:ident: $ty:ty),* $(,)?);)+) => {
-        #[cfg(target_arch = "x86_64")]
-        mod avx512f {
-            $(
-                #[target_feature(enable = "avx512f")]
-                pub(super) fn $body($($arg: $ty),*) {
-                    super::$body($($arg),*)
-                }
-            )+
-        }
-
         #[cfg(target_arch = "x86_64")]
         mod avx2 {
             $(
@@ -158,10 +138,6 @@ macro_rules! dispatch_per_isa {
             fn $name(isa: Isa, $($arg: $ty),*) {
                 match isa {
                     Isa::Portable => $body($($arg),*),
-                    // SAFETY: `Isa::Avx512f` exists only when the CPU
-                    // reports avx512f (invariant on `Isa`).
-                    #[cfg(target_arch = "x86_64")]
-                    Isa::Avx512f => unsafe { avx512f::$body($($arg),*) },
                     // SAFETY: `Isa::Avx2` exists only when the CPU reports
                     // avx2 (invariant on `Isa`).
                     #[cfg(target_arch = "x86_64")]
@@ -335,13 +311,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Raw-slice core of [`matmul`]; also used by the batched variant.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_into_at(Isa::detected(), a, b, c, m, k, n);
-}
-
-fn matmul_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    let isa = Isa::detected();
     for_each_row_panel(c, m, n, |cpanel, i0| matmul_panel(isa, a, b, cpanel, i0, k, n));
 }
 
@@ -363,13 +336,10 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Raw-slice core of [`matmul_at_b`].
 pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-    matmul_at_b_into_at(Isa::detected(), a, b, c, k, m, n);
-}
-
-fn matmul_at_b_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    let isa = Isa::detected();
     for_each_row_panel(c, m, n, |cpanel, i0| matmul_at_b_panel(isa, a, b, cpanel, i0, [k, m, n]));
 }
 
@@ -415,13 +385,10 @@ fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 /// Raw-slice core of [`matmul_a_bt`].
 pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_a_bt_into_at(Isa::detected(), a, b, c, m, k, n);
-}
-
-fn matmul_a_bt_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
+    let isa = Isa::detected();
     for_each_row_panel(c, m, n, |cpanel, i0| matmul_a_bt_panel(isa, a, b, cpanel, i0, k, n));
 }
 
@@ -448,14 +415,11 @@ fn batched(
 
 /// Batched `C[b] = A[b] · B[b]` for `A: [bs,m,k]`, `B: [bs,k,n]`.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_at(Isa::detected(), a, b)
-}
-
-fn bmm_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (bs, m, k) = batch_dims3(a, "bmm A");
     let (bs2, kb, n) = batch_dims3(b, "bmm B");
     assert_eq!(bs, bs2, "bmm: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm: inner dims {} vs {}", k, kb);
+    let isa = Isa::detected();
     batched(bs, m, n, |bi, cslab| {
         let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
         let bslab = &b.data()[bi * k * n..(bi + 1) * k * n];
@@ -465,14 +429,11 @@ fn bmm_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Batched `C[b] = A[b] · B[b]ᵀ` for `A: [bs,m,k]`, `B: [bs,n,k]`.
 pub fn bmm_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_a_bt_at(Isa::detected(), a, b)
-}
-
-fn bmm_a_bt_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (bs, m, k) = batch_dims3(a, "bmm_a_bt A");
     let (bs2, n, kb) = batch_dims3(b, "bmm_a_bt B");
     assert_eq!(bs, bs2, "bmm_a_bt: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm_a_bt: inner dims {} vs {}", k, kb);
+    let isa = Isa::detected();
     batched(bs, m, n, |bi, cslab| {
         let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
         let bslab = &b.data()[bi * n * k..(bi + 1) * n * k];
@@ -482,14 +443,11 @@ fn bmm_a_bt_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Batched `C[b] = A[b]ᵀ · B[b]` for `A: [bs,k,m]`, `B: [bs,k,n]`.
 pub fn bmm_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    bmm_at_b_at(Isa::detected(), a, b)
-}
-
-fn bmm_at_b_at(isa: Isa, a: &Tensor, b: &Tensor) -> Tensor {
     let (bs, k, m) = batch_dims3(a, "bmm_at_b A");
     let (bs2, kb, n) = batch_dims3(b, "bmm_at_b B");
     assert_eq!(bs, bs2, "bmm_at_b: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm_at_b: inner dims {} vs {}", k, kb);
+    let isa = Isa::detected();
     batched(bs, m, n, |bi, cslab| {
         let aslab = &a.data()[bi * k * m..(bi + 1) * k * m];
         let bslab = &b.data()[bi * k * n..(bi + 1) * k * n];
@@ -689,49 +647,42 @@ mod tests {
         Tensor::from_vec(shape, data)
     }
 
-    /// Runs the three 2-D entry points (and, with `batched`, the three
-    /// batched ones over two slabs) at every level the host supports, and
-    /// asserts each level's output equals the portable body's bit for bit
-    /// (NaNs canonicalised).
-    fn assert_levels_agree(m: usize, k: usize, n: usize, specials: bool, batched: bool) {
+    /// Runs the three panel bodies at every level the host supports, once
+    /// split into row panels as the `*_into` entry points run them and once
+    /// over the whole of `C` as the `bmm*` slabs run them, and asserts each
+    /// level's output equals the portable body's bit for bit (NaNs
+    /// canonicalised). Row and slab splitting happen outside the panels,
+    /// so they cannot depend on the level.
+    fn assert_levels_agree(m: usize, k: usize, n: usize, specials: bool) {
         let mut rng = crate::TensorRng::seed_from((m * 1_000_003 + k * 1009 + n) as u64);
         let a = filled(&mut rng, &[m, k], specials);
         let b = filled(&mut rng, &[k, n], specials);
         let at = filled(&mut rng, &[k, m], specials);
         let bt = filled(&mut rng, &[n, k], specials);
+        let (a, b, at, bt) = (a.data(), b.data(), at.data(), bt.data());
         let run = |isa: Isa| {
-            let mut outs = vec![vec![0.0f32; m * n]; 3];
-            matmul_into_at(isa, a.data(), b.data(), &mut outs[0], m, k, n);
-            matmul_at_b_into_at(isa, at.data(), b.data(), &mut outs[1], k, m, n);
-            matmul_a_bt_into_at(isa, a.data(), bt.data(), &mut outs[2], m, k, n);
+            let mut outs = vec![vec![0.0f32; m * n]; 6];
+            for_each_row_panel(&mut outs[0], m, n, |c, i0| matmul_panel(isa, a, b, c, i0, k, n));
+            for_each_row_panel(&mut outs[1], m, n, |c, i0| {
+                matmul_at_b_panel(isa, at, b, c, i0, [k, m, n])
+            });
+            for_each_row_panel(&mut outs[2], m, n, |c, i0| matmul_a_bt_panel(isa, a, bt, c, i0, k, n));
+            matmul_panel(isa, a, b, &mut outs[3], 0, k, n);
+            matmul_at_b_panel(isa, at, b, &mut outs[4], 0, [k, m, n]);
+            matmul_a_bt_panel(isa, a, bt, &mut outs[5], 0, k, n);
             outs
         };
-        let (a3, b3) = (filled(&mut rng, &[2, m, k], specials), filled(&mut rng, &[2, k, n], specials));
-        let (at3, bt3) = (filled(&mut rng, &[2, k, m], specials), filled(&mut rng, &[2, n, k], specials));
-        let run_batched = |isa: Isa| {
-            [bmm_at(isa, &a3, &b3), bmm_at_b_at(isa, &at3, &b3), bmm_a_bt_at(isa, &a3, &bt3)]
-                .map(|t| t.data().to_vec())
-        };
+        let names = ["matmul", "matmul_at_b", "matmul_a_bt"];
         let portable = run(Isa::Portable);
-        let portable_batched = if batched { run_batched(Isa::Portable).to_vec() } else { vec![] };
         for isa in Isa::supported().into_iter().filter(|&isa| isa != Isa::Portable) {
-            let names = ["matmul_into", "matmul_at_b_into", "matmul_a_bt_into"];
-            for ((name, want), got) in names.iter().zip(&portable).zip(run(isa)) {
+            for (i, (want, got)) in portable.iter().zip(run(isa)).enumerate() {
+                let how = if i < 3 { "row panels" } else { "whole C" };
                 assert_eq!(
                     canonical_bits(want),
                     canonical_bits(&got),
-                    "{name} {m}x{k}x{n} (specials {specials}): {isa:?} differs from portable"
+                    "{} {m}x{k}x{n} over {how} (specials {specials}): {isa:?} differs from portable",
+                    names[i % 3]
                 );
-            }
-            if batched {
-                let names = ["bmm", "bmm_at_b", "bmm_a_bt"];
-                for ((name, want), got) in names.iter().zip(&portable_batched).zip(run_batched(isa)) {
-                    assert_eq!(
-                        canonical_bits(want),
-                        canonical_bits(&got),
-                        "{name} 2x{m}x{k}x{n} (specials {specials}): {isa:?} differs from portable"
-                    );
-                }
             }
         }
     }
@@ -741,18 +692,18 @@ mod tests {
         let widest = *Isa::supported().last().unwrap();
         assert_eq!(Isa::detected(), widest);
         assert_eq!(kernel_isa(), widest.name());
-        assert!(["portable", "avx2", "avx512f"].contains(&kernel_isa()));
+        assert!(["portable", "avx2"].contains(&kernel_isa()));
     }
 
     #[test]
     fn every_level_matches_portable_on_lane_and_k_tails() {
-        // n = 17..=31 puts n mod 16 through 1..=15 (a 512-bit register's
+        // n = 17..=31 puts n mod 16 through 1..=15 (two 256-bit registers'
         // tail) and k = 5..=19 puts k mod 4 (axpy4) and k mod 8 (dot)
-        // through every remainder; n = 1..=15 covers rows narrower than
-        // one register
+        // through every remainder; n = 1..=15 covers rows shorter than
+        // two registers
         for t in 1..16 {
-            assert_levels_agree(t % 5 + 1, 4 + t, 16 + t, false, true);
-            assert_levels_agree(2, t, t, false, true);
+            assert_levels_agree(t % 5 + 1, 4 + t, 16 + t, false);
+            assert_levels_agree(2, t, t, false);
         }
     }
 
@@ -760,7 +711,7 @@ mod tests {
     fn every_level_matches_portable_across_tile_boundaries() {
         // below, at and above MC = 32, KC = 64 and NC = 128
         for (m, k, n) in [(31, 63, 127), (32, 64, 128), (33, 65, 129), (65, 129, 257), (1, 200, 3)] {
-            assert_levels_agree(m, k, n, false, true);
+            assert_levels_agree(m, k, n, false);
         }
     }
 
@@ -780,7 +731,7 @@ mod tests {
             (64, 544, 192),
             (32, 2080, 128),
         ] {
-            assert_levels_agree(m, k, n, false, false);
+            assert_levels_agree(m, k, n, false);
         }
     }
 
@@ -789,14 +740,14 @@ mod tests {
         // attention at head dim 8: scores 65x8x65, context 65x65x8, and
         // the 17-token decoder slabs
         for (m, k, n) in [(65, 8, 65), (65, 65, 8), (17, 17, 8), (17, 8, 17)] {
-            assert_levels_agree(m, k, n, false, true);
+            assert_levels_agree(m, k, n, false);
         }
     }
 
     #[test]
     fn every_level_matches_portable_on_ieee_edge_values() {
         for (m, k, n) in [(3, 5, 17), (7, 13, 31), (33, 65, 129), (65, 8, 65), (9, 70, 140)] {
-            assert_levels_agree(m, k, n, true, true);
+            assert_levels_agree(m, k, n, true);
         }
     }
 }

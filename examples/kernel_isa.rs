@@ -1,5 +1,5 @@
 //! Prints the instruction-set level the GEMM kernels run at on this CPU:
-//! `avx512f`, `avx2` or `portable`. Every level gives the same bits; the
+//! `avx2` or `portable`. Both levels give the same bits; the
 //! level says which vector width a measured speed belongs to.
 //!
 //! ```sh

@@ -15,9 +15,12 @@
 //! bit for bit against a reference that reproduces its lane order.
 //!
 //! The kernels run at whatever vector width the CPU offers
-//! (`geofm_tensor::kernel_isa`). Every row here holds at every width, and
-//! a short MAE pretraining run must reproduce pinned loss bits, so the
-//! training trajectory does not depend on which CPU runs it.
+//! (`geofm_tensor::kernel_isa`), and every row here holds at every width.
+//! A short MAE pretraining run must also reproduce pinned loss bits. That
+//! row pins the whole training step for this toolchain and C library: the
+//! GEMMs, GELU and AdamW are host-independent, but the run's inputs
+//! (`TensorRng::normal`: `ln`, `cos`) and softmax's `exp` call the
+//! system libm, whose last bit may differ between libm builds.
 //!
 //! The crate's own `tanh` (`geofm_nn::tanh`, under GELU) is held to an ulp
 //! bound against the host's `f32::tanh`, to exact IEEE edge behaviour and
@@ -599,7 +602,10 @@ fn tanh_output_bits_are_pinned() {
 /// Loss bits of the first four steps of `pinned_mae_losses`, recorded
 /// with the SSE2-only kernels that predate the per-width dispatch. A
 /// kernel, GELU or optimiser change that moves any training bit fails
-/// here, on every CPU.
+/// here. The bits also depend on libm's `expf`, `logf` and `cosf` (normal
+/// sampling and softmax), which are not correctly rounded and may differ in
+/// the last bit on another C library or libm build; the row is a
+/// regression pin for a fixed toolchain, not a proof of host independence.
 const PINNED_MAE_LOSS_BITS: [u32; 4] = [0x3fa1_306d, 0x3fa0_7dd8, 0x3f9e_8fe5, 0x3f9c_5c25];
 
 /// T-Base MAE (model seed 7), batch 4 of seed-11 normal images, mask
